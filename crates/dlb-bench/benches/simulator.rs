@@ -44,7 +44,7 @@ fn bench_disks(c: &mut Criterion) {
 fn bench_network(c: &mut Criterion) {
     c.bench_function("network_10k_sends", |b| {
         b.iter_batched(
-            || Network::new(NetworkParams::default(), CpuParams::default()),
+            || Network::new(NetworkParams::default(), CpuParams::default(), 4),
             |mut net| {
                 for i in 0..10_000u32 {
                     let from = NodeId::new(i % 4);

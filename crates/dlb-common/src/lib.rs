@@ -15,7 +15,8 @@
 //!   model ([`config`]),
 //! * the Zipf skew generator used to model redistribution / attribute-value
 //!   skew ([`zipf`]),
-//! * deterministic random-number helpers ([`rng`]),
+//! * deterministic random-number helpers ([`rng`]) and libm-free rounding
+//!   ([`round`]),
 //! * dense index sets ([`bitset`]) and a stable-key arena ([`slab`]) for the
 //!   engine's allocation-free hot paths,
 //! * a minimal JSON model, parser and writer ([`json`]) — the real `serde`
@@ -31,6 +32,7 @@ pub mod error;
 pub mod ids;
 pub mod json;
 pub mod rng;
+pub mod round;
 pub mod slab;
 pub mod time;
 pub mod zipf;
@@ -45,6 +47,7 @@ pub use ids::{
     ThreadId,
 };
 pub use json::Json;
+pub use round::round_u64;
 pub use slab::Slab;
 pub use time::{Duration, SimTime};
 pub use zipf::ZipfDistribution;

@@ -6,6 +6,7 @@
 //! the event calendar. Using integer nanoseconds keeps event ordering exact
 //! and the simulation fully deterministic.
 
+use crate::round::round_u64;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
@@ -43,7 +44,7 @@ impl Duration {
 
     /// Creates a duration from fractional seconds, saturating at zero.
     pub fn from_secs_f64(secs: f64) -> Self {
-        Duration((secs.max(0.0) * 1e9).round() as u64)
+        Duration(round_u64(secs.max(0.0) * 1e9))
     }
 
     /// Nanoseconds in this duration.
@@ -118,7 +119,7 @@ impl Mul<u64> for Duration {
 impl Mul<f64> for Duration {
     type Output = Duration;
     fn mul(self, rhs: f64) -> Duration {
-        Duration((self.0 as f64 * rhs).round().max(0.0) as u64)
+        Duration(round_u64(self.0 as f64 * rhs))
     }
 }
 

@@ -53,8 +53,8 @@ use crate::topology::{validate_topology, TopologyChange, TopologyEvent};
 use dlb_common::config::SystemConfig;
 use dlb_common::rng::rng_from_seed;
 use dlb_common::{
-    BitSet, DiskId, DlbError, Duration, NodeId, OperatorId, ProcessorId, RelationId, Result,
-    SimTime,
+    round_u64, BitSet, DiskId, DlbError, Duration, NodeId, OperatorId, ProcessorId, RelationId,
+    Result, SimTime,
 };
 use dlb_frontend::{FrontendConfig, FrontendStats, Lookup, ResultCache, SingleFlight};
 use dlb_query::cost::CostModel;
@@ -75,6 +75,9 @@ const CONTROL_MESSAGE_BYTES: u64 = 256;
 /// infinite event loops. Generously above anything a paper-scale plan (or a
 /// co-simulated mix of them) needs.
 const MAX_EVENTS: u64 = 500_000_000;
+
+/// Most unterminated operators a stall error lists.
+const STALL_REPORT_OPS: usize = 8;
 
 /// One query of a co-simulated execution: the plan plus the inter-query
 /// descriptors the engine needs to interleave it with the others.
@@ -390,6 +393,10 @@ struct OpRuntime {
     /// For probe operators: the global index of the build whose table is
     /// probed.
     build_twin: Option<usize>,
+    /// Global indices of the operators that pipeline into this one (the
+    /// plan's `pipelined_producers`, resolved once at install time so the
+    /// §4 end check never rescans the plan).
+    producers: Vec<usize>,
 }
 
 /// Per-(operator, node) runtime state. Only allocated for home nodes.
@@ -843,7 +850,7 @@ impl<'a> QueueEngine<'a> {
             disks_per_node,
             calendar: EventCalendar::new(),
             disks: DiskFarm::new(config.disk, config.machine.nodes, disks_per_node),
-            network: Network::new(config.network, config.cpu),
+            network: Network::new(config.network, config.cpu, config.machine.nodes),
             cpu: CpuAccounting::new(config.machine.nodes, config.machine.processors_per_node),
             ops: Vec::new(),
             live_ops: BitSet::default(),
@@ -1055,7 +1062,7 @@ impl<'a> QueueEngine<'a> {
             disks_per_node,
             calendar: EventCalendar::new(),
             disks: DiskFarm::new(config.disk, config.machine.nodes, disks_per_node),
-            network: Network::new(config.network, config.cpu),
+            network: Network::new(config.network, config.cpu, config.machine.nodes),
             cpu: CpuAccounting::new(config.machine.nodes, config.machine.processors_per_node),
             ops,
             // Placeholder slots are all terminated; admissions insert the
@@ -1127,7 +1134,18 @@ impl<'a> QueueEngine<'a> {
             phase2_started: false,
             phase2_confirms: 0,
             build_twin: None,
+            producers: Vec::new(),
         }
+    }
+
+    /// The plan's `pipelined_producers` of operator `id`, as global indices
+    /// of a lane installed at `base`.
+    fn global_producers(plan: &ParallelPlan, base: usize, id: OperatorId) -> Vec<usize> {
+        plan.tree
+            .pipelined_producers(id)
+            .iter()
+            .map(|p| base + p.index())
+            .collect()
     }
 
     fn initialize(&mut self) -> Result<()> {
@@ -1193,6 +1211,7 @@ impl<'a> QueueEngine<'a> {
                     phase2_started: false,
                     phase2_confirms: 0,
                     build_twin,
+                    producers: Self::global_producers(plan, base, op.id),
                 });
             }
         }
@@ -1420,32 +1439,89 @@ impl<'a> QueueEngine<'a> {
     fn run_loop(&mut self) -> Result<()> {
         while !self.is_done() {
             let Some((_, event)) = self.calendar.pop() else {
-                return Err(DlbError::exec(format!(
-                    "simulation stalled: {} of {} operators terminated",
-                    self.ops_terminated,
-                    self.ops.len()
-                )));
+                return Err(self.stall_error());
             };
             if self.calendar.processed() > MAX_EVENTS {
                 return Err(DlbError::exec("event budget exhausted"));
             }
-            match event {
-                Event::ThreadReady { node, thread } => self.on_thread_ready(node, thread),
-                Event::Data {
-                    node,
-                    op,
-                    slot,
-                    activation,
-                } => self.on_data(node, op, slot, activation),
-                Event::Control { node, msg } => self.on_control(node, msg),
-                Event::QueryStart { lane } => self.on_query_start(lane),
-                Event::QueryAdmit { lane } => self.on_query_admit(lane),
-                Event::QueryRelease { lane } => self.on_query_release(lane),
-                Event::Topology { index } => self.on_topology(index)?,
-                Event::OpenArrival => self.on_open_arrival(),
-            }
+            self.dispatch(event)?;
         }
         Ok(())
+    }
+
+    fn dispatch(&mut self, event: Event) -> Result<()> {
+        match event {
+            Event::ThreadReady { node, thread } => self.on_thread_ready(node, thread),
+            Event::Data {
+                node,
+                op,
+                slot,
+                activation,
+            } => self.on_data(node, op, slot, activation),
+            Event::Control { node, msg } => self.on_control(node, msg),
+            Event::QueryStart { lane } => self.on_query_start(lane),
+            Event::QueryAdmit { lane } => self.on_query_admit(lane),
+            Event::QueryRelease { lane } => self.on_query_release(lane),
+            Event::Topology { index } => self.on_topology(index)?,
+            Event::OpenArrival => self.on_open_arrival(),
+        }
+        Ok(())
+    }
+
+    /// Whether op slot `op` holds an installed operator: always in closed
+    /// mode; in open mode only inside an admitted lane's plan (free and
+    /// retired slots hold terminated placeholders).
+    fn slot_in_use(&self, op: usize) -> bool {
+        let lane = &self.lanes[self.ops[op].lane];
+        op < lane.base + lane.n_ops && (self.open.is_none() || lane.started)
+    }
+
+    /// The error for a calendar that emptied before the run was done: how
+    /// many in-use operators terminated, then up to [`STALL_REPORT_OPS`] of
+    /// the others with their end-detection progress and per-home queue
+    /// state.
+    fn stall_error(&self) -> DlbError {
+        let in_use: Vec<usize> = (0..self.ops.len())
+            .filter(|&op| self.slot_in_use(op))
+            .collect();
+        let stuck: Vec<usize> = in_use
+            .iter()
+            .copied()
+            .filter(|&op| !self.ops[op].terminated)
+            .collect();
+        let mut msg = format!(
+            "simulation stalled: {} of {} operators terminated",
+            in_use.len() - stuck.len(),
+            in_use.len()
+        );
+        for (i, &op) in stuck.iter().take(STALL_REPORT_OPS).enumerate() {
+            let o = &self.ops[op];
+            let homes = o.home.len();
+            msg += if i == 0 { "; unterminated: " } else { "; " };
+            msg += &format!(
+                "lane {} op {} (phase-1 {}/{homes}, phase-2 {}/{homes}",
+                o.lane,
+                op - self.lanes[o.lane].base,
+                o.phase1_reports,
+                o.phase2_confirms,
+            );
+            for n in &o.home {
+                if let Some(opn) = &self.op_nodes[op][n.index()] {
+                    let parked = opn.parked.len();
+                    msg += &format!(
+                        ", node {}: {} queued {parked} parked {} processing",
+                        n.index(),
+                        opn.queued_activations() - parked,
+                        opn.processing
+                    );
+                }
+            }
+            msg.push(')');
+        }
+        if stuck.len() > STALL_REPORT_OPS {
+            msg += &format!("; and {} more", stuck.len() - STALL_REPORT_OPS);
+        }
+        DlbError::exec(msg)
     }
 
     /// The machine-wide aggregate report of a finished run.
@@ -2181,6 +2257,7 @@ impl<'a> QueueEngine<'a> {
                 phase2_started: false,
                 phase2_confirms: 0,
                 build_twin,
+                producers: Self::global_producers(plan, base, op.id),
             };
             self.op_nodes[idx] = per_node;
             // The slot's ops were counted terminated (placeholder or
@@ -2341,6 +2418,13 @@ impl<'a> QueueEngine<'a> {
             costs.queue_access_instr + if primary { 0 } else { costs.interference_instr };
         let mut io_complete = now;
         let kind = self.ops[op_idx].kind;
+        // Scans and probes emit in proportion to their input; builds emit
+        // nothing.
+        let out_tuples = if kind.is_build() {
+            0
+        } else {
+            round_u64(act.tuples as f64 * self.ops[op_idx].output_ratio)
+        };
 
         match act.kind {
             ActivationKind::Trigger { pages, disk } => {
@@ -2368,9 +2452,8 @@ impl<'a> QueueEngine<'a> {
                     instructions += act.tuples * costs.build_tuple_instr;
                 } else {
                     // Probe.
-                    let out = (act.tuples as f64 * self.ops[op_idx].output_ratio).round() as u64;
-                    instructions +=
-                        act.tuples * costs.probe_tuple_instr + out * costs.result_tuple_instr;
+                    instructions += act.tuples * costs.probe_tuple_instr
+                        + out_tuples * costs.result_tuple_instr;
                 }
             }
         }
@@ -2386,15 +2469,6 @@ impl<'a> QueueEngine<'a> {
         }
 
         // Produce and route output.
-        let out_tuples = match kind {
-            OperatorKind::Scan { .. } => {
-                (act.tuples as f64 * self.ops[op_idx].output_ratio).round() as u64
-            }
-            OperatorKind::Probe { .. } => {
-                (act.tuples as f64 * self.ops[op_idx].output_ratio).round() as u64
-            }
-            OperatorKind::Build { .. } => 0,
-        };
         if out_tuples > 0 {
             quantum_end = self.emit_output(node, op_idx, out_tuples, quantum_end);
         }
@@ -2430,12 +2504,7 @@ impl<'a> QueueEngine<'a> {
         // End detection must be re-evaluated on every home node: a node that
         // drained earlier (while batches were still in flight elsewhere) only
         // becomes reportable once the operator's global counters settle.
-        // Iterating by index keeps this allocation-free; `home` never changes
-        // after initialization.
-        for h in 0..self.ops[op_idx].home.len() {
-            let home_node = self.ops[op_idx].home[h].index();
-            self.check_local_end(op_idx, home_node);
-        }
+        self.check_local_ends(op_idx, None);
         self.maybe_terminate(op_idx);
 
         self.calendar
@@ -2527,12 +2596,7 @@ impl<'a> QueueEngine<'a> {
         // The delivery may have been the last in-flight batch of the
         // operator: other home nodes that drained earlier can now report
         // their local end.
-        for h in 0..self.ops[op].home.len() {
-            let home_node = self.ops[op].home[h].index();
-            if home_node != node {
-                self.check_local_end(op, home_node);
-            }
-        }
+        self.check_local_ends(op, Some(node));
         // Guarded at the call site: pull-only policies (`push` is `None`)
         // pay one predictable branch per delivery, not a call.
         if self.push.is_some() {
@@ -2678,34 +2742,36 @@ impl<'a> QueueEngine<'a> {
     // ----------------------------------------------------------------- //
 
     fn producers_terminated(&self, op: usize) -> bool {
-        if self.ops[op].kind.is_scan() {
-            return true;
-        }
-        let lane = &self.lanes[self.ops[op].lane];
-        lane.plan
-            .tree
-            .pipelined_producers(OperatorId::from(op - lane.base))
+        self.ops[op]
+            .producers
             .iter()
-            .all(|p| self.ops[lane.base + p.index()].terminated)
+            .all(|&p| self.ops[p].terminated)
+    }
+
+    /// What [`Self::check_local_end`] would send for `op` on `node` right
+    /// now, as `(local_end, confirm)`: phase 1's `LocalEnd` once the node
+    /// drained after the operator's last input, phase 2's `Confirm` once a
+    /// pending confirmation request finds the node drained.
+    fn local_end_actions(&self, op: usize, node: usize) -> (bool, bool) {
+        let o = &self.ops[op];
+        if o.terminated || !self.lanes[o.lane].started {
+            return (false, false);
+        }
+        let Some(opn) = self.op_nodes[op][node].as_ref() else {
+            return (false, false);
+        };
+        let drained = opn.is_drained();
+        let local_end = !opn.phase1_sent
+            && drained
+            && o.input_sent == o.input_delivered
+            && self.producers_terminated(op);
+        let confirm = opn.confirm_pending && !opn.confirm_sent && drained;
+        (local_end, confirm)
     }
 
     fn check_local_end(&mut self, op: usize, node: usize) {
-        if self.ops[op].terminated || !self.lanes[self.ops[op].lane].started {
-            return;
-        }
-        let Some(opn) = self.op_nodes[op][node].as_ref() else {
-            return;
-        };
-        let drained = opn.is_drained();
-        let phase1_sent = opn.phase1_sent;
-        let confirm_pending = opn.confirm_pending;
-        let confirm_sent = opn.confirm_sent;
-
-        if !phase1_sent
-            && drained
-            && self.ops[op].input_sent == self.ops[op].input_delivered
-            && self.producers_terminated(op)
-        {
+        let (local_end, confirm) = self.local_end_actions(op, node);
+        if local_end {
             self.op_nodes[op][node].as_mut().unwrap().phase1_sent = true;
             self.send_control(
                 node,
@@ -2714,8 +2780,7 @@ impl<'a> QueueEngine<'a> {
                 ControlMsg::LocalEnd { op },
             );
         }
-
-        if confirm_pending && !confirm_sent && drained {
+        if confirm {
             let opn = self.op_nodes[op][node].as_mut().unwrap();
             opn.confirm_pending = false;
             opn.confirm_sent = true;
@@ -2725,6 +2790,43 @@ impl<'a> QueueEngine<'a> {
                 CONTROL_MESSAGE_BYTES,
                 ControlMsg::Confirm { op },
             );
+        }
+    }
+
+    /// Whether the §4 end check can act for `op` on any home node. A
+    /// `LocalEnd` needs every sent input delivered and every producer
+    /// terminated; a `Confirm` needs a pending confirmation request, and
+    /// those only arrive once phase 2 started (re-homing, re-opening and
+    /// slot recycling clear both together). Operator-level state, so the
+    /// per-home loop is skipped on most activations and deliveries.
+    fn end_check_due(&self, op: usize) -> bool {
+        let o = &self.ops[op];
+        !o.terminated
+            && (o.phase2_started
+                || (o.input_sent == o.input_delivered && self.producers_terminated(op)))
+    }
+
+    /// Runs [`Self::check_local_end`] on every home node of `op` but `skip`,
+    /// when [`Self::end_check_due`] allows it. Iterating by index keeps
+    /// this allocation-free.
+    fn check_local_ends(&mut self, op: usize, skip: Option<usize>) {
+        if !self.end_check_due(op) {
+            #[cfg(debug_assertions)]
+            for n in &self.ops[op].home {
+                debug_assert_eq!(
+                    self.local_end_actions(op, n.index()),
+                    (false, false),
+                    "the end-check gate skipped op {op} on node {} with a message due",
+                    n.index()
+                );
+            }
+            return;
+        }
+        for h in 0..self.ops[op].home.len() {
+            let home_node = self.ops[op].home[h].index();
+            if Some(home_node) != skip {
+                self.check_local_end(op, home_node);
+            }
         }
     }
 
@@ -2804,10 +2906,7 @@ impl<'a> QueueEngine<'a> {
             if self.ops[other].terminated {
                 continue;
             }
-            for h in 0..self.ops[other].home.len() {
-                let node = self.ops[other].home[h].index();
-                self.check_local_end(other, node);
-            }
+            self.check_local_ends(other, None);
             self.maybe_terminate(other);
         }
     }
@@ -5023,5 +5122,137 @@ mod tests {
         let mut bad = good.clone();
         bad.templates[0].solo_secs = f64::NAN;
         assert!(execute_open(&bad, &config, Strategy::dynamic(), &opts).is_err());
+    }
+
+    /// The plan's `pipelined_producers` of every in-use op slot, in global
+    /// indices, against the list installed on the operator; placeholder
+    /// slots carry none.
+    fn assert_producers_match_plan(engine: &QueueEngine<'_>) {
+        for op in 0..engine.ops.len() {
+            let installed = &engine.ops[op].producers;
+            if !engine.slot_in_use(op) {
+                assert!(installed.is_empty(), "placeholder slot {op} has producers");
+                continue;
+            }
+            let lane = &engine.lanes[engine.ops[op].lane];
+            let expected: Vec<usize> = lane
+                .plan
+                .tree
+                .pipelined_producers(OperatorId::from(op - lane.base))
+                .iter()
+                .map(|p| lane.base + p.index())
+                .collect();
+            assert_eq!(installed, &expected, "op slot {op}");
+        }
+    }
+
+    #[test]
+    fn installed_producers_match_the_plan() {
+        let plan = bushy_plan(2);
+        let config = SystemConfig::hierarchical(2, 4);
+        let engine =
+            QueueEngine::new(&plan, config, Strategy::dynamic(), ExecOptions::default()).unwrap();
+        assert!(engine.ops.iter().any(|o| !o.producers.is_empty()));
+        assert_producers_match_plan(&engine);
+
+        // Open mode: a single lane slot recycled between two templates of
+        // different sizes, checked once the second admission installed its
+        // plan over the slot the first retired from.
+        let tiny = tiny_plan(2);
+        let mut spec = arrivals(ArrivalKind::Poisson, 6, 50.0, 0.0);
+        spec.templates = 2;
+        let traffic = OpenTraffic {
+            templates: vec![template(&tiny), template(&plan)],
+            arrivals: spec,
+            concurrency: 1,
+            frontend: FrontendConfig::default(),
+        };
+        let mut engine = QueueEngine::new_open(
+            &traffic,
+            config,
+            Strategy::dynamic(),
+            ExecOptions::default(),
+        )
+        .unwrap();
+        let mut recycled = 0;
+        while let Some((_, event)) = engine.calendar.pop() {
+            engine.dispatch(event).unwrap();
+            let open = engine.open.as_ref().unwrap();
+            if open.completed > recycled && engine.lanes[0].started {
+                recycled = open.completed;
+                assert_producers_match_plan(&engine);
+            }
+        }
+        assert!(recycled >= 2, "the slot was recycled only {recycled} times");
+    }
+
+    #[test]
+    fn stall_error_lists_the_unterminated_operators() {
+        let plan = bushy_plan(2);
+        let config = SystemConfig::hierarchical(2, 4);
+        let mut engine =
+            QueueEngine::new(&plan, config, Strategy::dynamic(), ExecOptions::default()).unwrap();
+        // Drop every scheduled event: the seeded triggers stay queued and
+        // nothing can ever run them.
+        while engine.calendar.pop().is_some() {}
+        let n_ops = plan.tree.operators().len();
+        let msg = engine.run_loop().unwrap_err().to_string();
+        assert!(
+            msg.contains(&format!(
+                "simulation stalled: 0 of {n_ops} operators terminated"
+            )),
+            "{msg}"
+        );
+        // Up to eight operators, each with its phase counts and per-home
+        // queue state; the rest are counted.
+        assert_eq!(msg.matches("lane 0 op ").count(), STALL_REPORT_OPS, "{msg}");
+        assert!(
+            msg.contains(&format!("; and {} more", n_ops - STALL_REPORT_OPS)),
+            "{msg}"
+        );
+        assert!(
+            msg.contains("lane 0 op 0 (phase-1 0/2, phase-2 0/2, node 0: "),
+            "{msg}"
+        );
+        let queued = engine.op_nodes[0][1].as_ref().unwrap().queued_activations();
+        assert!(queued > 0);
+        assert!(
+            msg.contains(&format!("node 1: {queued} queued 0 parked 0 processing)")),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn open_stall_error_counts_only_in_use_slots() {
+        let plan = bushy_plan(2);
+        let config = SystemConfig::hierarchical(2, 4);
+        let traffic = OpenTraffic {
+            templates: vec![template(&plan)],
+            arrivals: arrivals(ArrivalKind::Poisson, 3, 0.5, 0.0),
+            concurrency: 4,
+            frontend: FrontendConfig::default(),
+        };
+        let mut engine = QueueEngine::new_open(
+            &traffic,
+            config,
+            Strategy::dynamic(),
+            ExecOptions::default(),
+        )
+        .unwrap();
+        // Run up to the first admission, then drop everything else.
+        while !engine.lanes.iter().any(|l| l.started) {
+            let (_, event) = engine.calendar.pop().unwrap();
+            engine.dispatch(event).unwrap();
+        }
+        while engine.calendar.pop().is_some() {}
+        let n_ops = plan.tree.operators().len();
+        assert!(engine.ops.len() > n_ops);
+        let msg = engine.run_loop().unwrap_err().to_string();
+        assert!(
+            msg.contains(&format!(
+                "simulation stalled: 0 of {n_ops} operators terminated"
+            )),
+            "{msg}"
+        );
     }
 }

@@ -23,12 +23,15 @@ pub struct OutputRouter {
     weights: Vec<f64>,
     assigned: Vec<u64>,
     total: u64,
-    /// True when every weight is the same bit pattern and the slot count is
-    /// a power of two. Then `w` is exactly representable (1/2^k), all the
-    /// deficits `w*total - assigned` are exact in f64, and the float argmax
-    /// reduces bit-for-bit to an integer argmin over `assigned` — which the
-    /// hot path computes without touching floats at all.
-    uniform_pow2: bool,
+    /// Winner tree over `assigned`, kept only when every weight is the same
+    /// bit pattern and the slot count is a power of two (empty otherwise).
+    /// Then `w` is exactly representable (1/2^k), all the deficits
+    /// `w*total - assigned` are exact in f64, and the float argmax reduces
+    /// bit-for-bit to an integer argmin over `assigned`, lowest slot first.
+    /// Node `k` holds the lowest-index minimum of its subtree (children
+    /// `2k` and `2k+1`, leaves at `slots + i`), so the root `winners[1]` is
+    /// that argmin and one route re-plays log2(slots) matches.
+    winners: Vec<u32>,
 }
 
 impl OutputRouter {
@@ -47,11 +50,26 @@ impl OutputRouter {
         }
         let uniform_pow2 =
             slots.is_power_of_two() && weights.windows(2).all(|w| w[0].to_bits() == w[1].to_bits());
+        let winners = if uniform_pow2 {
+            // All assignments start equal, so every subtree's winner is its
+            // leftmost leaf.
+            let mut winners = vec![0u32; 2 * slots];
+            for k in (1..2 * slots).rev() {
+                winners[k] = if k >= slots {
+                    (k - slots) as u32
+                } else {
+                    winners[2 * k]
+                };
+            }
+            winners
+        } else {
+            Vec::new()
+        };
         Self {
             weights,
             assigned: vec![0; slots],
             total: 0,
-            uniform_pow2,
+            winners,
         }
     }
 
@@ -64,20 +82,9 @@ impl OutputRouter {
     /// assignment.
     pub fn route(&mut self, tuples: u64) -> usize {
         let new_total = self.total + tuples;
-        // Choose the slot with the largest deficit (target - assigned).
-        let mut best = 0usize;
-        if self.uniform_pow2 {
-            // Equal weights: the largest deficit is the smallest assignment
-            // (first slot on ties, exactly like the float loop below — see
-            // the field invariant for why this is bit-identical).
-            let mut best_assigned = u64::MAX;
-            for (i, &a) in self.assigned.iter().enumerate() {
-                if a < best_assigned {
-                    best_assigned = a;
-                    best = i;
-                }
-            }
-        } else {
+        let best = if self.winners.is_empty() {
+            // Choose the slot with the largest deficit (target - assigned).
+            let mut best = 0usize;
             let mut best_deficit = f64::MIN;
             for (i, (&w, &a)) in self.weights.iter().zip(self.assigned.iter()).enumerate() {
                 let deficit = w * new_total as f64 - a as f64;
@@ -86,8 +93,27 @@ impl OutputRouter {
                     best = i;
                 }
             }
-        }
+            best
+        } else {
+            // Equal weights: the largest deficit is the smallest assignment
+            // (first slot on ties) — the winner tree's root.
+            self.winners[1] as usize
+        };
         self.assigned[best] += tuples;
+        if !self.winners.is_empty() {
+            // Re-play the matches on the path from the grown leaf to the
+            // root; a tie keeps the left (lower-index) winner.
+            let mut k = (self.assigned.len() + best) / 2;
+            while k > 0 {
+                let (l, r) = (self.winners[2 * k], self.winners[2 * k + 1]);
+                self.winners[k] = if self.assigned[r as usize] < self.assigned[l as usize] {
+                    r
+                } else {
+                    l
+                };
+                k /= 2;
+            }
+        }
         self.total = new_total;
         best
     }
@@ -167,6 +193,41 @@ mod tests {
             let realized = r.assigned(s) as f64 / r.total() as f64;
             assert!((realized - r.weight(s)).abs() < 0.05);
         }
+    }
+
+    /// The linear argmin the winner tree replaces: the lowest slot with the
+    /// smallest assignment.
+    fn linear_argmin(r: &OutputRouter) -> usize {
+        let mut best = 0;
+        for s in 1..r.slots() {
+            if r.assigned(s) < r.assigned(best) {
+                best = s;
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn winner_tree_matches_the_linear_argmin() {
+        let sizes = [1u64, 7, 128, 13, 64, 3, 250, 9, 128, 128];
+        for slots in [1usize, 2, 4, 8, 32, 64] {
+            let mut r = OutputRouter::new(slots, 0.0, slots / 3);
+            for i in 0..5_000 {
+                let expected = linear_argmin(&r);
+                assert_eq!(
+                    r.route(sizes[i % sizes.len()]),
+                    expected,
+                    "slots {slots}, step {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn skewed_and_non_power_of_two_routers_keep_the_float_path() {
+        assert!(OutputRouter::new(8, 0.5, 0).winners.is_empty());
+        assert!(OutputRouter::new(6, 0.0, 0).winners.is_empty());
+        assert!(!OutputRouter::new(8, 0.0, 3).winners.is_empty());
     }
 
     #[test]

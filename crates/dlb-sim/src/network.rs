@@ -14,7 +14,6 @@
 use dlb_common::config::{CpuParams, NetworkParams};
 use dlb_common::{Duration, NodeId, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Timing of one message transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,49 +31,71 @@ pub struct MessageTiming {
 }
 
 /// Traffic statistics, per direction and aggregated.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NetworkStats {
     /// Total number of messages sent.
     pub messages: u64,
     /// Total payload bytes sent.
     pub bytes: u64,
-    /// Messages broken down by (source, destination).
-    pub per_link_messages: HashMap<(u32, u32), u64>,
-    /// Bytes broken down by (source, destination).
-    pub per_link_bytes: HashMap<(u32, u32), u64>,
+    /// Number of nodes; the per-link counters are `nodes × nodes` matrices
+    /// indexed `from * nodes + to`.
+    nodes: usize,
+    link_messages: Vec<u64>,
+    link_bytes: Vec<u64>,
 }
 
 impl NetworkStats {
+    fn new(nodes: usize) -> Self {
+        Self {
+            messages: 0,
+            bytes: 0,
+            nodes,
+            link_messages: vec![0; nodes * nodes],
+            link_bytes: vec![0; nodes * nodes],
+        }
+    }
+
+    /// Position of the `from → to` link in the per-link matrices.
+    fn link(&self, from: NodeId, to: NodeId) -> usize {
+        from.index() * self.nodes + to.index()
+    }
+
     /// Bytes sent from `from` to `to`.
     pub fn link_bytes(&self, from: NodeId, to: NodeId) -> u64 {
-        *self.per_link_bytes.get(&(from.0, to.0)).unwrap_or(&0)
+        self.link_bytes[self.link(from, to)]
     }
 
     /// Messages sent from `from` to `to`.
     pub fn link_messages(&self, from: NodeId, to: NodeId) -> u64 {
-        *self.per_link_messages.get(&(from.0, to.0)).unwrap_or(&0)
+        self.link_messages[self.link(from, to)]
     }
 }
 
 /// The interconnection network of the hierarchical system.
+///
+/// Links are dense: the per-link FIFO clock and traffic counters are
+/// `nodes × nodes` arrays, so a send is a few indexed loads and stores.
 #[derive(Debug, Clone)]
 pub struct Network {
     params: NetworkParams,
     cpu: CpuParams,
-    /// Per-link earliest next arrival, to preserve FIFO ordering per link.
-    link_clock: HashMap<(u32, u32), SimTime>,
+    /// Per-link earliest next arrival, to preserve FIFO ordering per link
+    /// (`SimTime::ZERO` until the link carries its first message), indexed
+    /// like the per-link counters of [`NetworkStats`].
+    link_clock: Vec<SimTime>,
     stats: NetworkStats,
 }
 
 impl Network {
-    /// Creates a network with the given parameters. `cpu` is used to convert
-    /// the per-message instruction costs into time.
-    pub fn new(params: NetworkParams, cpu: CpuParams) -> Self {
+    /// Creates a network between `nodes` SM-nodes with the given parameters.
+    /// `cpu` is used to convert the per-message instruction costs into time.
+    pub fn new(params: NetworkParams, cpu: CpuParams, nodes: u32) -> Self {
+        let nodes = nodes as usize;
         Self {
             params,
             cpu,
-            link_clock: HashMap::new(),
-            stats: NetworkStats::default(),
+            link_clock: vec![SimTime::ZERO; nodes * nodes],
+            stats: NetworkStats::new(nodes),
         }
     }
 
@@ -100,20 +121,18 @@ impl Network {
         let send_cpu = self.cpu.instructions(self.params.send_instructions(bytes));
         let recv_cpu = self.cpu.instructions(self.params.recv_instructions(bytes));
         let sent = at + send_cpu;
-        let mut arrival =
-            sent + self.params.end_to_end_delay + self.params.transmission_time(bytes);
         // FIFO per link: never deliver before a previously sent message on the
-        // same link.
-        let link = (from.0, to.0);
-        if let Some(prev) = self.link_clock.get(&link) {
-            arrival = arrival.max(*prev);
-        }
-        self.link_clock.insert(link, arrival);
+        // same link. An unused link's clock is the origin, which every
+        // arrival already follows.
+        let link = self.stats.link(from, to);
+        let arrival = (sent + self.params.end_to_end_delay + self.params.transmission_time(bytes))
+            .max(self.link_clock[link]);
+        self.link_clock[link] = arrival;
 
         self.stats.messages += 1;
         self.stats.bytes += bytes;
-        *self.stats.per_link_messages.entry(link).or_insert(0) += 1;
-        *self.stats.per_link_bytes.entry(link).or_insert(0) += bytes;
+        self.stats.link_messages[link] += 1;
+        self.stats.link_bytes[link] += bytes;
 
         MessageTiming {
             sent,
@@ -133,8 +152,10 @@ impl Network {
 mod tests {
     use super::*;
 
+    const NODES: u32 = 4;
+
     fn net() -> Network {
-        Network::new(NetworkParams::default(), CpuParams::default())
+        Network::new(NetworkParams::default(), CpuParams::default(), NODES)
     }
 
     #[test]
@@ -204,8 +225,27 @@ mod tests {
             bandwidth_bytes_per_sec: Some(8.0 * 1024.0), // 1 page per second
             ..NetworkParams::default()
         };
-        let mut n = Network::new(params, CpuParams::default());
+        let mut n = Network::new(params, CpuParams::default(), NODES);
         let t = n.send(NodeId::new(0), NodeId::new(1), 8 * 1024, SimTime::ZERO);
         assert!(t.arrival.since(SimTime::ZERO) > Duration::from_secs(1));
+    }
+
+    #[test]
+    fn links_at_the_matrix_edge_are_separate() {
+        let last = NodeId::new(NODES - 1);
+        let mut n = net();
+        let a = n.send(last, NodeId::new(0), 1 << 16, SimTime::ZERO);
+        let b = n.send(last, NodeId::new(0), 8, SimTime::from_nanos(1));
+        assert!(b.arrival >= a.arrival);
+        let c = n.send(NodeId::new(0), last, 8, SimTime::from_nanos(1));
+        assert!(c.arrival < a.arrival);
+        let d = n.send(NodeId::new(NODES - 2), last, 16, SimTime::ZERO);
+        assert!(d.arrival < a.arrival);
+        assert_eq!(n.stats().link_messages(last, NodeId::new(0)), 2);
+        assert_eq!(n.stats().link_bytes(last, NodeId::new(0)), (1 << 16) + 8);
+        assert_eq!(n.stats().link_bytes(NodeId::new(0), last), 8);
+        assert_eq!(n.stats().link_bytes(NodeId::new(NODES - 2), last), 16);
+        assert_eq!(n.stats().link_messages(last, last), 0);
+        assert_eq!(n.stats().messages, 4);
     }
 }
