@@ -26,6 +26,43 @@ fn bench_calendar(c: &mut Criterion) {
     });
 }
 
+/// The engine's shape: threads run deterministic quanta in lockstep, so
+/// every thread's `ThreadReady` and most of the batches it hands on land on
+/// one shared quantum-end instant.
+fn bench_calendar_lockstep(c: &mut Criterion) {
+    const THREADS: u64 = 8;
+    const QUANTUM_NS: u64 = 50_000;
+    const NETWORK_NS: u64 = 20_000;
+    c.bench_function("calendar_lockstep_8_threads_10k", |b| {
+        b.iter_batched(
+            EventCalendar::<u64>::new,
+            |mut cal| {
+                // Payloads below THREADS are a thread's ThreadReady, the
+                // rest are batches.
+                for thread in 0..THREADS {
+                    cal.schedule_at(SimTime::ZERO, thread);
+                }
+                let mut quanta = 10_000 / 4;
+                while let Some((now, event)) = cal.pop() {
+                    if event < THREADS && quanta > 0 {
+                        quanta -= 1;
+                        let end = now.as_nanos() + QUANTUM_NS;
+                        // Two same-node batches at the quantum end, one
+                        // remote batch a network delay later, then the
+                        // thread's own wake-up at the shared instant.
+                        cal.schedule_at(SimTime::from_nanos(end), THREADS + event);
+                        cal.schedule_at(SimTime::from_nanos(end), THREADS + event);
+                        cal.schedule_at(SimTime::from_nanos(end + NETWORK_NS), THREADS);
+                        cal.schedule_at(SimTime::from_nanos(end), event);
+                    }
+                    black_box(event);
+                }
+            },
+            BatchSize::SmallInput,
+        );
+    });
+}
+
 fn bench_disks(c: &mut Criterion) {
     c.bench_function("disk_farm_10k_reads", |b| {
         b.iter_batched(
@@ -57,5 +94,11 @@ fn bench_network(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_calendar, bench_disks, bench_network);
+criterion_group!(
+    benches,
+    bench_calendar,
+    bench_calendar_lockstep,
+    bench_disks,
+    bench_network
+);
 criterion_main!(benches);

@@ -1442,7 +1442,7 @@ impl<'a> QueueEngine<'a> {
                 return Err(self.stall_error());
             };
             if self.calendar.processed() > MAX_EVENTS {
-                return Err(DlbError::exec("event budget exhausted"));
+                return Err(self.budget_error());
             }
             self.dispatch(event)?;
         }
@@ -1476,11 +1476,30 @@ impl<'a> QueueEngine<'a> {
         op < lane.base + lane.n_ops && (self.open.is_none() || lane.started)
     }
 
-    /// The error for a calendar that emptied before the run was done: how
-    /// many in-use operators terminated, then up to [`STALL_REPORT_OPS`] of
-    /// the others with their end-detection progress and per-home queue
-    /// state.
+    /// The error for a calendar that emptied before the run was done.
     fn stall_error(&self) -> DlbError {
+        DlbError::exec(format!(
+            "simulation stalled: {}",
+            self.unterminated_summary()
+        ))
+    }
+
+    /// The error for a run that passed [`MAX_EVENTS`]: how far the clock
+    /// got, what is still scheduled, and which operators never finished.
+    fn budget_error(&self) -> DlbError {
+        DlbError::exec(format!(
+            "event budget exhausted: {} events processed, now {}, {} events pending; {}",
+            self.calendar.processed(),
+            self.calendar.now(),
+            self.calendar.pending(),
+            self.unterminated_summary()
+        ))
+    }
+
+    /// How many in-use operators terminated, then up to
+    /// [`STALL_REPORT_OPS`] of the others with their end-detection progress
+    /// and per-home queue state.
+    fn unterminated_summary(&self) -> String {
         let in_use: Vec<usize> = (0..self.ops.len())
             .filter(|&op| self.slot_in_use(op))
             .collect();
@@ -1490,7 +1509,7 @@ impl<'a> QueueEngine<'a> {
             .filter(|&op| !self.ops[op].terminated)
             .collect();
         let mut msg = format!(
-            "simulation stalled: {} of {} operators terminated",
+            "{} of {} operators terminated",
             in_use.len() - stuck.len(),
             in_use.len()
         );
@@ -1521,7 +1540,7 @@ impl<'a> QueueEngine<'a> {
         if stuck.len() > STALL_REPORT_OPS {
             msg += &format!("; and {} more", stuck.len() - STALL_REPORT_OPS);
         }
-        DlbError::exec(msg)
+        msg
     }
 
     /// The machine-wide aggregate report of a finished run.
@@ -5220,6 +5239,40 @@ mod tests {
             msg.contains(&format!("node 1: {queued} queued 0 parked 0 processing)")),
             "{msg}"
         );
+    }
+
+    #[test]
+    fn budget_error_reports_progress_and_the_unterminated_operators() {
+        let plan = bushy_plan(2);
+        let config = SystemConfig::hierarchical(2, 4);
+        let mut engine =
+            QueueEngine::new(&plan, config, Strategy::dynamic(), ExecOptions::default()).unwrap();
+        for _ in 0..200 {
+            let (_, event) = engine.calendar.pop().unwrap();
+            engine.dispatch(event).unwrap();
+        }
+        let now = engine.calendar.now();
+        assert!(now > SimTime::ZERO);
+        let pending = engine.calendar.pending();
+        assert!(pending > 0);
+        let terminated = engine.ops.iter().filter(|o| o.terminated).count();
+        let n_ops = plan.tree.operators().len();
+        assert!(terminated < n_ops);
+        let msg = engine.budget_error().to_string();
+        assert!(
+            msg.contains(&format!(
+                "event budget exhausted: 200 events processed, now {now}, \
+                 {pending} events pending; {terminated} of {n_ops} operators terminated; \
+                 unterminated: lane 0 op "
+            )),
+            "{msg}"
+        );
+        // The same per-operator summary the stall error gives.
+        assert!(msg.ends_with(&engine.unterminated_summary()), "{msg}");
+        assert!(engine
+            .stall_error()
+            .to_string()
+            .ends_with(&engine.unterminated_summary()));
     }
 
     #[test]

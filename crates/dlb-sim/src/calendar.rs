@@ -1,86 +1,94 @@
 //! Event calendar: the core of the discrete-event simulation.
 //!
-//! The calendar is a priority queue of `(time, sequence, event)` entries.
-//! Events at equal times are delivered in insertion order, which makes the
-//! whole simulation deterministic: two runs with the same inputs produce the
-//! same event interleaving and therefore the same response times.
+//! Events pop in `(time, scheduling order)` order, so two runs with the
+//! same inputs produce the same interleaving. Scheduling in the past clamps
+//! to the current instant.
 //!
-//! Two mechanical-sympathy refinements keep the dense-event regime cheap
-//! without changing the delivery order:
+//! The engine's deterministic quanta make many events end at the very same
+//! nanosecond, so the calendar is bucketed by **distinct instant**:
 //!
-//! * **Slab-backed payloads** — the binary heap orders 16-byte
-//!   `(time, seq, key)` entries while the event payloads sit still in a
-//!   [`Slab`]; sift operations move small keys instead of whole events, and
-//!   steady-state scheduling allocates nothing.
-//! * **Now-bucket fast path** — events scheduled *at the current instant*
-//!   (thread wake-ups, same-node hand-offs, past-time clamps) skip the heap
-//!   entirely and go to a FIFO. While the clock sits at `now`, every new
-//!   `now`-event carries a larger sequence number than any heap entry at the
-//!   same time, so popping compares the FIFO front against the heap head by
-//!   `(time, seq)` and always drains the bucket before the clock advances —
-//!   exactly the order the heap alone would have produced.
+//! * a min-heap of plain `u64` instants holds each pending future instant
+//!   once;
+//! * an index maps each of those instants to its FIFO chain, hashed with one
+//!   folded multiply (instants come from the simulation's own clock
+//!   arithmetic, so SipHash's flood resistance buys nothing);
+//! * payloads sit still in a [`Slab`], each with an intrusive `next` link,
+//!   so appending to a chain allocates nothing;
+//! * the chain of the instant being delivered is held apart and takes the
+//!   events scheduled at `now` and the past-time clamps alike.
+//!
+//! Scheduling at an already pending instant is an index hit and a list
+//! append; the heap moves only for a new instant and when the clock advances.
+//!
+//! **Why this is `(time, seq)` order.** Number events by scheduling order
+//! (`seq`) and give each its clamped time `max(time, now)`. Across instants:
+//! the heap yields instants in increasing order and nothing is chained to
+//! an instant before `now`. Within an instant `t`: every event with clamped
+//! time `t` is appended to the one chain of `t`, through the index while
+//! `now < t`, and as the current chain once the clock reached `t` (the
+//! advance moved that very chain out of the index). A chain is therefore in
+//! increasing `seq` order, exactly what a `(time, seq)` heap would deliver.
 
 use dlb_common::{SimTime, Slab};
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::hash_map::{Entry, HashMap};
+use std::collections::BinaryHeap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// An event scheduled on the calendar.
-#[derive(Debug, Clone)]
-pub struct ScheduledEvent<E> {
-    /// Virtual time at which the event fires.
-    pub time: SimTime,
-    /// Insertion sequence number (tie-breaker for equal times).
-    pub seq: u64,
-    /// The event payload.
-    pub event: E,
+/// The end of a chain.
+const NIL: u32 = u32::MAX;
+
+/// A payload and the slab key of the next event of its instant.
+#[derive(Debug)]
+struct Node<E> {
+    event: E,
+    next: u32,
 }
 
-impl<E> PartialEq for ScheduledEvent<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+/// The FIFO of one instant: pop at `head`, append at `tail`. `tail` is
+/// meaningful only while `head` is not [`NIL`].
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    head: u32,
+    tail: u32,
+}
+
+impl Chain {
+    const EMPTY: Chain = Chain {
+        head: NIL,
+        tail: NIL,
+    };
+
+    fn append<E>(&mut self, key: u32, store: &mut Slab<Node<E>>) {
+        if self.head == NIL {
+            self.head = key;
+        } else {
+            store.get_mut(self.tail).expect("chain tail is live").next = key;
+        }
+        self.tail = key;
     }
 }
 
-impl<E> Eq for ScheduledEvent<E> {}
+/// Hashes an instant with one folded 64×64→128-bit multiply: both halves of
+/// the product mix every input bit, which the table's low (bucket) and high
+/// (tag) bits both need.
+#[derive(Debug, Default)]
+struct InstantHasher(u64);
 
-impl<E> PartialOrd for ScheduledEvent<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+impl Hasher for InstantHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
     }
-}
 
-impl<E> Ord for ScheduledEvent<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse so the earliest time (then the
-        // smallest sequence number) pops first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+    fn write_u64(&mut self, x: u64) {
+        let p = u128::from(self.0 ^ x) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
     }
-}
 
-/// A heap entry: the ordering key plus the slab key of the payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct HeapEntry {
-    time: SimTime,
-    seq: u64,
-    key: u32,
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: earliest time, then smallest sequence, pops first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -99,13 +107,14 @@ impl Ord for HeapEntry {
 /// ```
 #[derive(Debug)]
 pub struct EventCalendar<E> {
-    heap: BinaryHeap<HeapEntry>,
-    /// Events firing at exactly `now`, in sequence order (the front holds
-    /// the smallest sequence number).
-    now_bucket: VecDeque<(u64, u32)>,
-    store: Slab<E>,
+    /// Every future instant with a pending event, once.
+    instants: BinaryHeap<Reverse<u64>>,
+    /// The chain of each instant in `instants`.
+    chains: HashMap<u64, Chain, BuildHasherDefault<InstantHasher>>,
+    /// The chain of `now`.
+    current: Chain,
+    store: Slab<Node<E>>,
     now: SimTime,
-    next_seq: u64,
     processed: u64,
 }
 
@@ -119,11 +128,11 @@ impl<E> EventCalendar<E> {
     /// Creates an empty calendar at virtual time zero.
     pub fn new() -> Self {
         Self {
-            heap: BinaryHeap::new(),
-            now_bucket: VecDeque::new(),
+            instants: BinaryHeap::new(),
+            chains: HashMap::default(),
+            current: Chain::EMPTY,
             store: Slab::new(),
             now: SimTime::ZERO,
-            next_seq: 0,
             processed: 0,
         }
     }
@@ -153,17 +162,19 @@ impl<E> EventCalendar<E> {
     /// Scheduling in the past is clamped to the current time: the event fires
     /// "now" but after already-scheduled events for the current instant.
     pub fn schedule_at(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let key = self.store.insert(event);
-        if time <= self.now {
-            // Fires at the current instant: no heap traffic. Sequence
-            // numbers grow monotonically, so pushing at the back keeps the
-            // bucket sorted.
-            self.now_bucket.push_back((seq, key));
+        let key = self.store.insert(Node { event, next: NIL });
+        let chain = if time <= self.now {
+            &mut self.current
         } else {
-            self.heap.push(HeapEntry { time, seq, key });
-        }
+            match self.chains.entry(time.as_nanos()) {
+                Entry::Occupied(chain) => chain.into_mut(),
+                Entry::Vacant(slot) => {
+                    self.instants.push(Reverse(time.as_nanos()));
+                    slot.insert(Chain::EMPTY)
+                }
+            }
+        };
+        chain.append(key, &mut self.store);
     }
 
     /// Schedules `event` after `delay` from the current virtual time.
@@ -173,43 +184,31 @@ impl<E> EventCalendar<E> {
 
     /// Pops the next event, advancing the virtual clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        // The bucket holds `now`-events; the heap head is strictly later
-        // than `now` unless it carries a same-time entry scheduled *before*
-        // the clock reached `now` — that one has the smaller sequence
-        // number and must fire first.
-        let from_bucket = match (self.now_bucket.front(), self.heap.peek()) {
-            (Some(_), None) => true,
-            (Some(&(seq, _)), Some(head)) => (self.now, seq) < (head.time, head.seq),
-            (None, _) => false,
-        };
-        let (time, key) = if from_bucket {
-            let (_, key) = self.now_bucket.pop_front().expect("checked front");
-            (self.now, key)
-        } else {
-            let head = self.heap.pop()?;
-            // A same-time heap entry (scheduled before the clock reached
-            // `now`, hence an older sequence number) may legitimately pop
-            // ahead of bucketed events; only a strict clock advance
-            // requires the bucket to have drained.
-            debug_assert!(
-                head.time == self.now || self.now_bucket.is_empty(),
-                "now-bucket must drain before the clock advances"
-            );
-            (head.time, head.key)
-        };
-        debug_assert!(time >= self.now, "time went backwards");
-        self.now = time;
+        if self.current.head == NIL {
+            let Reverse(instant) = self.instants.pop()?;
+            self.current = self
+                .chains
+                .remove(&instant)
+                .expect("a pending instant has a chain");
+            self.now = SimTime::from_nanos(instant);
+        }
+        let node = self
+            .store
+            .remove(self.current.head)
+            .expect("chained payload is live");
+        self.current.head = node.next;
         self.processed += 1;
-        let event = self.store.remove(key).expect("scheduled payload is live");
-        Some((time, event))
+        Some((self.now, node.event))
     }
 
     /// Peeks at the time of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match (self.now_bucket.front(), self.heap.peek()) {
-            (Some(_), _) => Some(self.now),
-            (None, Some(head)) => Some(head.time),
-            (None, None) => None,
+        if self.current.head != NIL {
+            Some(self.now)
+        } else {
+            self.instants
+                .peek()
+                .map(|&Reverse(t)| SimTime::from_nanos(t))
         }
     }
 }
@@ -266,6 +265,30 @@ mod tests {
         cal.schedule_after(Duration::from_nanos(500), "second");
         assert_eq!(cal.peek_time(), Some(SimTime::from_nanos(1_500)));
         assert_eq!(cal.pending(), 1);
+    }
+
+    #[test]
+    fn the_heap_holds_each_pending_instant_once() {
+        let mut cal = EventCalendar::new();
+        for i in 0..30u64 {
+            cal.schedule_at(SimTime::from_nanos(10 * (1 + i % 3)), i);
+        }
+        assert_eq!(cal.instants.len(), 3);
+        assert_eq!(cal.chains.len(), 3);
+        assert_eq!(cal.pending(), 30);
+        // The first pop moves the earliest chain out of the index; events
+        // at the current instant join that chain, not the heap.
+        assert_eq!(cal.pop(), Some((SimTime::from_nanos(10), 0)));
+        cal.schedule_at(SimTime::from_nanos(10), 100);
+        cal.schedule_at(SimTime::from_nanos(20), 101);
+        assert_eq!(cal.instants.len(), 2);
+        assert_eq!(cal.chains.len(), 2);
+        let order: Vec<u64> = std::iter::from_fn(|| cal.pop().map(|(_, e)| e)).collect();
+        let mut expected: Vec<u64> = (3..30).step_by(3).chain([100]).collect();
+        expected.extend((1..30).step_by(3).chain([101]));
+        expected.extend((2..30).step_by(3));
+        assert_eq!(order, expected);
+        assert!(cal.instants.is_empty() && cal.chains.is_empty());
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod cpu;
 pub mod disk;
 pub mod network;
 
-pub use calendar::{EventCalendar, ScheduledEvent};
+pub use calendar::EventCalendar;
 pub use cpu::CpuAccounting;
 pub use disk::{DiskFarm, DiskRequestOutcome};
 pub use network::{MessageTiming, Network, NetworkStats};
