@@ -254,6 +254,21 @@ mod tests {
     }
 
     #[test]
+    fn queries_over_64_relations_fail_to_compile_with_a_plan_error() {
+        let chain = |n: usize| {
+            (1..n).fold(AdHocQuery::new("wide").relation("r0", 100), |q, i| {
+                q.relation(format!("r{i}"), 100)
+                    .join(format!("r{}", i - 1), format!("r{i}"))
+            })
+        };
+        let system = HierarchicalSystem::shared_memory(2);
+        assert_eq!(chain(64).compile(&system).unwrap()[0].tree.scan_count(), 64);
+        let err = chain(65).compile(&system).unwrap_err();
+        assert!(matches!(err, DlbError::InvalidPlan(_)), "{err:?}");
+        assert!(err.to_string().contains("at most 64"), "{err}");
+    }
+
+    #[test]
     fn empty_query_is_rejected() {
         assert!(AdHocQuery::new("empty").to_query().is_err());
     }

@@ -4,6 +4,7 @@
 use crate::workload::MixEntry;
 use dlb_common::{DlbError, Result};
 use dlb_exec::{ExecOptions, MixMode, MixPolicy, Strategy, TopologyEvent};
+use dlb_query::graph::EdgeMasks;
 use dlb_traffic::ArrivalKind;
 
 /// A sweepable dimension of the evaluation grid.
@@ -764,6 +765,20 @@ impl ScenarioSpec {
                 return fail("chain workloads need at least 2 relations".to_string());
             }
         }
+        // Generated, mix and open queries compile through the optimizer,
+        // whose join enumeration keeps a query's relations in one u64 mask.
+        let optimized_relations = match &self.workload {
+            WorkloadSpec::Generated { relations, .. } => Some(*relations),
+            WorkloadSpec::Mix(mix) => Some(mix.relations),
+            WorkloadSpec::Open(open) => Some(open.relations),
+            WorkloadSpec::Chain { .. } => None,
+        };
+        if let Some(n) = optimized_relations.filter(|&n| n > EdgeMasks::MAX_RELATIONS) {
+            return fail(format!(
+                "queries have {n} relations; the optimizer supports at most {}",
+                EdgeMasks::MAX_RELATIONS
+            ));
+        }
         if let WorkloadSpec::Mix(mix) = &self.workload {
             if mix.queries == 0 {
                 return fail("mix workloads need at least 1 query".to_string());
@@ -1216,6 +1231,37 @@ mod tests {
             }))
             .build();
         assert!(sp.is_err());
+    }
+
+    #[test]
+    fn optimized_workloads_over_64_relations_are_rejected() {
+        for workload in [
+            WorkloadSpec::default(),
+            WorkloadSpec::Mix(MixSpec::default()),
+            WorkloadSpec::Open(OpenSpec::default()),
+        ] {
+            let spec = ScenarioSpec::builder("wide")
+                .workload(workload)
+                .build()
+                .unwrap();
+            // The override path (`HIERDB_RELATIONS`) goes through
+            // `with_generated_workload`, so validation sees its result.
+            let at_limit = spec.clone().with_generated_workload(2, 64, 0.01, 1);
+            assert!(at_limit.validate().is_ok(), "{:?}", at_limit.workload);
+            let over = spec.with_generated_workload(2, 65, 0.01, 1);
+            let err = over.validate().unwrap_err().to_string();
+            assert!(err.contains("65 relations"), "{err}");
+        }
+        // Chain workloads never reach the optimizer.
+        let chain = ScenarioSpec::builder("chain")
+            .workload(WorkloadSpec::Chain {
+                relations: 65,
+                build_rows: 100,
+                probe_rows: 1_000,
+            })
+            .presentation(Presentation::Chain)
+            .build();
+        assert!(chain.is_ok(), "{chain:?}");
     }
 
     #[test]

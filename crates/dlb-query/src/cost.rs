@@ -14,7 +14,7 @@
 use crate::jointree::JoinTree;
 use dlb_common::config::{CostConstants, CpuParams, DiskParams};
 use dlb_common::rng::distort;
-use dlb_common::Duration;
+use dlb_common::{round_u64, Duration};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -132,7 +132,7 @@ impl CostModel {
     /// distortion used by Figure 7 to study the impact of cost-model errors on
     /// Fixed Processing.
     pub fn distorted_cardinality<R: Rng>(&self, rng: &mut R, cardinality: u64, rate: f64) -> u64 {
-        distort(rng, cardinality as f64, rate).round() as u64
+        round_u64(distort(rng, cardinality as f64, rate))
     }
 }
 

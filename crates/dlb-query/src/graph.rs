@@ -7,7 +7,7 @@
 //! practice tend to have simple join predicates", but the structure here
 //! accepts arbitrary connected graphs.
 
-use dlb_common::RelationId;
+use dlb_common::{DlbError, RelationId, Result};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -111,28 +111,6 @@ impl PredicateGraph {
             .map(|e| e.selectivity)
     }
 
-    /// Combined selectivity of all predicate edges linking a relation of set
-    /// `left` with a relation of set `right` (product of the individual edge
-    /// selectivities). Returns `None` when no edge crosses the two sets,
-    /// i.e. joining them would be a Cartesian product.
-    pub fn crossing_selectivity(
-        &self,
-        left: &BTreeSet<RelationId>,
-        right: &BTreeSet<RelationId>,
-    ) -> Option<f64> {
-        let mut product = 1.0;
-        let mut found = false;
-        for e in &self.edges {
-            let crosses = (left.contains(&e.left) && right.contains(&e.right))
-                || (left.contains(&e.right) && right.contains(&e.left));
-            if crosses {
-                product *= e.selectivity;
-                found = true;
-            }
-        }
-        found.then_some(product)
-    }
-
     /// True when the graph is connected (every relation reachable from the
     /// first one through join edges).
     pub fn is_connected(&self) -> bool {
@@ -187,6 +165,83 @@ impl PredicateGraph {
         }
         true
     }
+}
+
+/// A predicate graph in bitmask form, for join enumeration.
+///
+/// Bit `i` of a `u64` mask stands for the `i`-th relation of the order the
+/// masks were built over, and a set of relations is the OR of its bits. Each
+/// predicate edge becomes a `(left, right, selectivity)` triple whose masks
+/// hold the bits of its two endpoints, kept in the graph's edge order. A
+/// relation id listed twice in the order maps to both bits, and an endpoint
+/// outside the order maps to no bit, so a mask test answers exactly what a
+/// set-membership test over relation ids would.
+#[derive(Debug)]
+pub struct EdgeMasks {
+    relations: Vec<RelationId>,
+    edges: Vec<(u64, u64, f64)>,
+}
+
+impl EdgeMasks {
+    /// Most relations a mask can hold: one bit of a `u64` each.
+    pub const MAX_RELATIONS: usize = u64::BITS as usize;
+
+    /// Builds the masks of `graph`'s edges over `relations` (bit `i` is
+    /// `relations[i]`). Fails when there are more than
+    /// [`Self::MAX_RELATIONS`] relations.
+    pub fn new(graph: &PredicateGraph, relations: &[RelationId]) -> Result<Self> {
+        if relations.len() > Self::MAX_RELATIONS {
+            return Err(DlbError::plan(format!(
+                "query has {} relations; join enumeration supports at most {}",
+                relations.len(),
+                Self::MAX_RELATIONS
+            )));
+        }
+        let edges = graph
+            .edges()
+            .iter()
+            .map(|e| {
+                let bits = |id| bits_of(relations, id);
+                (bits(e.left), bits(e.right), e.selectivity)
+            })
+            .collect();
+        Ok(Self {
+            relations: relations.to_vec(),
+            edges,
+        })
+    }
+
+    /// The mask of a set of relations.
+    pub fn mask(&self, relations: &BTreeSet<RelationId>) -> u64 {
+        relations
+            .iter()
+            .fold(0, |mask, &r| mask | bits_of(&self.relations, r))
+    }
+
+    /// Combined selectivity of all predicate edges linking a relation of
+    /// `left` with a relation of `right`: the product of the individual edge
+    /// selectivities, taken in edge order. Returns `None` when no edge
+    /// crosses the two sets, i.e. joining them would be a Cartesian product.
+    pub fn crossing_selectivity(&self, left: u64, right: u64) -> Option<f64> {
+        let mut product = 1.0;
+        let mut found = false;
+        for &(l, r, selectivity) in &self.edges {
+            if (l & left != 0 && r & right != 0) || (r & left != 0 && l & right != 0) {
+                product *= selectivity;
+                found = true;
+            }
+        }
+        found.then_some(product)
+    }
+}
+
+/// The bits standing for relation `id` in a mask over `relations`.
+fn bits_of(relations: &[RelationId], id: RelationId) -> u64 {
+    relations
+        .iter()
+        .enumerate()
+        .filter(|(_, &r)| r == id)
+        .fold(0, |mask, (i, _)| mask | 1 << i)
 }
 
 #[cfg(test)]
@@ -252,17 +307,36 @@ mod tests {
         g.add_edge(r(0), r(2), 0.1);
         g.add_edge(r(1), r(3), 0.2);
         g.add_edge(r(0), r(1), 0.5);
-        let left: BTreeSet<_> = [r(0), r(1)].into_iter().collect();
-        let right: BTreeSet<_> = [r(2), r(3)].into_iter().collect();
-        let sel = g.crossing_selectivity(&left, &right).unwrap();
+        let masks = EdgeMasks::new(&g, g.relations()).unwrap();
+        let set = |ids: &[u32]| masks.mask(&ids.iter().map(|&i| r(i)).collect());
+        let left = set(&[0, 1]);
+        assert_eq!(left, 0b0011);
+        let sel = masks.crossing_selectivity(left, set(&[2, 3])).unwrap();
         assert!((sel - 0.1 * 0.2).abs() < 1e-12);
         // The (0,1) edge is internal to `left` and must not contribute.
-        let only_three: BTreeSet<_> = [r(3)].into_iter().collect();
-        let sel2 = g.crossing_selectivity(&left, &only_three).unwrap();
+        let sel2 = masks.crossing_selectivity(left, set(&[3])).unwrap();
         assert!((sel2 - 0.2).abs() < 1e-12);
-        let disjoint: BTreeSet<_> = [r(2)].into_iter().collect();
-        let none = g.crossing_selectivity(&only_three, &disjoint);
-        assert!(none.is_none());
+        assert!(masks.crossing_selectivity(set(&[3]), set(&[2])).is_none());
+    }
+
+    #[test]
+    fn masks_follow_the_given_order_and_bound_the_relation_count() {
+        let g = chain_graph(3);
+        // Bit i is the i-th relation of the order, not of the graph.
+        let masks = EdgeMasks::new(&g, &[r(2), r(0), r(1)]).unwrap();
+        assert_eq!(masks.mask(&[r(2)].into_iter().collect()), 0b001);
+        assert_eq!(masks.mask(&[r(0), r(1)].into_iter().collect()), 0b110);
+        assert_eq!(masks.crossing_selectivity(0b001, 0b100), Some(0.001));
+        assert_eq!(masks.crossing_selectivity(0b001, 0b010), None);
+        // A relation outside the order has no bit and crosses nothing.
+        let partial = EdgeMasks::new(&g, &[r(0), r(1)]).unwrap();
+        assert_eq!(partial.mask(&[r(2)].into_iter().collect()), 0);
+        assert_eq!(partial.crossing_selectivity(0b010, 0b100), None);
+
+        let wide = chain_graph(65);
+        let err = EdgeMasks::new(&wide, wide.relations()).unwrap_err();
+        assert!(err.to_string().contains("at most 64"), "{err}");
+        assert!(EdgeMasks::new(&wide, &wide.relations()[..64]).is_ok());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! is its smaller input (standard hash-join practice), the *probe* side the
 //! larger one.
 
-use dlb_common::RelationId;
+use dlb_common::{round_u64, RelationId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -44,9 +44,8 @@ impl JoinTree {
 
     /// Creates a join node, putting the smaller input on the build side.
     pub fn join(a: JoinTree, b: JoinTree, selectivity: f64) -> Self {
-        let card = ((a.cardinality() as f64) * (b.cardinality() as f64) * selectivity)
-            .round()
-            .max(1.0) as u64;
+        let card =
+            round_u64((a.cardinality() as f64) * (b.cardinality() as f64) * selectivity).max(1);
         let (build, probe) = if a.cardinality() <= b.cardinality() {
             (a, b)
         } else {

@@ -12,15 +12,23 @@
 //! * candidates are ranked by the sum of intermediate result sizes (the
 //!   classical objective that bushy trees are meant to minimize) and the
 //!   requested number of best trees is retained.
+//!
+//! The enumeration works on bitmasks ([`EdgeMasks`]): a component is the
+//! `u64` mask of its relations, and a pair-selectivity matrix over component
+//! slots is filled once per query. A merge recomputes only the merged
+//! component's row, as an edge-order product, so every selectivity is the
+//! same float a set-based scan would compute. A candidate is recorded as its
+//! merge history plus its ranking key, summed merge by merge; `JoinTree`s are
+//! built only for the candidates that make the cut.
 
 use crate::cost::CostModel;
 use crate::generator::Query;
+use crate::graph::EdgeMasks;
 use crate::jointree::JoinTree;
 use dlb_common::rng::stream_rng;
-use dlb_common::{DlbError, Result};
+use dlb_common::{round_u64, DlbError, Result};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// Parameters of the optimizer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -68,7 +76,8 @@ impl Optimizer {
     }
 
     /// Optimizes a query, returning its `keep_best` best bushy trees (best
-    /// first). Fails if the predicate graph is not connected.
+    /// first). Fails if the predicate graph is not connected or the query
+    /// has more than [`EdgeMasks::MAX_RELATIONS`] relations.
     pub fn optimize(&self, query: &Query) -> Result<Vec<JoinTree>> {
         if !query.graph.is_connected() {
             return Err(DlbError::plan(format!(
@@ -79,81 +88,215 @@ impl Optimizer {
         if query.relations.is_empty() {
             return Err(DlbError::plan("query has no relations"));
         }
+        let ids: Vec<_> = query.relations.iter().map(|r| r.id).collect();
+        let masks = EdgeMasks::new(&query.graph, &ids)?;
 
-        let mut candidates = Vec::with_capacity(self.params.candidates + 1);
-        candidates.push(self.build_tree::<rand::rngs::StdRng>(query, None)?);
+        let mut search = Enumeration::new(query, &masks, &self.cost);
+        let mut keys = Vec::with_capacity(self.params.candidates + 1);
+        keys.push(search.candidate::<rand::rngs::StdRng>(None)?);
         let mut rng = stream_rng(self.params.seed, query.id.0 as u64);
         for _ in 0..self.params.candidates {
-            candidates.push(self.build_tree(query, Some(&mut rng))?);
+            keys.push(search.candidate(Some(&mut rng))?);
         }
 
-        // Rank by intermediate size, then by estimated sequential time as a
-        // tie-breaker, and deduplicate identical shapes.
-        candidates.sort_by(|a, b| {
-            (a.intermediate_size(), self.cost.tree_cost(a).instructions)
-                .cmp(&(b.intermediate_size(), self.cost.tree_cost(b).instructions))
-        });
-        candidates.dedup();
-        candidates.truncate(self.params.keep_best.max(1));
-        Ok(candidates)
+        // Rank by intermediate size, then by estimated sequential work as a
+        // tie-breaker (a stable sort, so equal keys keep enumeration order),
+        // and skip a tree equal to the one just kept.
+        let mut ranked: Vec<usize> = (0..keys.len()).collect();
+        ranked.sort_by_key(|&c| keys[c]);
+        let keep = self.params.keep_best.max(1);
+        let mut best: Vec<JoinTree> = Vec::with_capacity(keep.min(ranked.len()));
+        for c in ranked {
+            let tree = search.tree(c);
+            if best.last() == Some(&tree) {
+                continue;
+            }
+            best.push(tree);
+            if best.len() == keep {
+                break;
+            }
+        }
+        Ok(best)
     }
+}
 
-    /// Builds one candidate tree. With `rng = None` the construction is
-    /// greedy (always join the connected pair with the smallest output);
-    /// otherwise the pair is chosen at random among connected pairs.
-    fn build_tree<R: Rng>(&self, query: &Query, mut rng: Option<&mut R>) -> Result<JoinTree> {
-        // Each component is (set of relations, subtree).
-        let mut components: Vec<(BTreeSet<_>, JoinTree)> = query
-            .relations
-            .iter()
-            .map(|r| {
-                let mut set = BTreeSet::new();
-                set.insert(r.id);
-                (set, JoinTree::leaf(r.id, r.cardinality))
-            })
-            .collect();
+/// One merge of a candidate's construction: join the components at
+/// positions `i < j` of the component list with selectivity `sel`. The
+/// operands are removed (`j` first) and the join is appended at the end.
+#[derive(Debug, Clone, Copy)]
+struct Merge {
+    i: usize,
+    j: usize,
+    sel: f64,
+}
 
-        while components.len() > 1 {
-            // Enumerate joinable (connected) pairs.
-            let mut pairs: Vec<(usize, usize, f64, u64)> = Vec::new();
-            for i in 0..components.len() {
-                for j in (i + 1)..components.len() {
-                    if let Some(sel) = query
-                        .graph
-                        .crossing_selectivity(&components[i].0, &components[j].0)
-                    {
-                        let out = ((components[i].1.cardinality() as f64)
-                            * (components[j].1.cardinality() as f64)
-                            * sel)
-                            .round()
-                            .max(1.0) as u64;
-                        pairs.push((i, j, sel, out));
-                    }
+/// The per-query state of the enumeration: the initial pair-selectivity
+/// matrix, the working state of the candidate being built, and the merge
+/// histories of all candidates built so far.
+struct Enumeration<'a> {
+    query: &'a Query,
+    masks: &'a EdgeMasks,
+    cost: &'a CostModel,
+    /// Number of relations, which is also the number of component slots.
+    n: usize,
+    /// Leaf-pair adjacency (bit `b` of row `a`: an edge crosses the two) and
+    /// selectivities, row-major `n × n`, filled once per query.
+    init_adj: Vec<u64>,
+    init_sel: Vec<f64>,
+    /// Scan work of the leaves, common to every candidate.
+    scans: u64,
+    /// Slots of the live components, in component-list order. A merged
+    /// component takes over the slot of its first operand.
+    order: Vec<usize>,
+    /// Relation mask, cardinality, adjacency row and selectivity row of
+    /// each slot.
+    mask: Vec<u64>,
+    card: Vec<u64>,
+    adj: Vec<u64>,
+    sel: Vec<f64>,
+    /// Merge histories, `n - 1` merges per candidate.
+    history: Vec<Merge>,
+}
+
+impl<'a> Enumeration<'a> {
+    fn new(query: &'a Query, masks: &'a EdgeMasks, cost: &'a CostModel) -> Self {
+        let n = query.relations.len();
+        let mut init_adj = vec![0u64; n];
+        let mut init_sel = vec![0.0; n * n];
+        for a in 0..n {
+            for b in (a + 1)..n {
+                if let Some(sel) = masks.crossing_selectivity(1 << a, 1 << b) {
+                    init_adj[a] |= 1 << b;
+                    init_adj[b] |= 1 << a;
+                    init_sel[a * n + b] = sel;
+                    init_sel[b * n + a] = sel;
                 }
             }
-            if pairs.is_empty() {
+        }
+        Self {
+            query,
+            masks,
+            cost,
+            n,
+            init_adj,
+            init_sel,
+            scans: query
+                .relations
+                .iter()
+                .map(|r| cost.scan_cost(r.cardinality).instructions)
+                .sum(),
+            order: Vec::with_capacity(n),
+            mask: vec![0; n],
+            card: vec![0; n],
+            adj: vec![0; n],
+            sel: vec![0.0; n * n],
+            history: Vec::new(),
+        }
+    }
+
+    /// Builds one candidate, appending its merges to the history, and
+    /// returns its ranking key `(intermediate size, tree instructions)`.
+    /// With `rng = None` the construction is greedy (always join the
+    /// connected pair with the smallest output, the first one on ties);
+    /// otherwise the pair is drawn uniformly among the connected pairs in
+    /// component-list order.
+    fn candidate<R: Rng>(&mut self, mut rng: Option<&mut R>) -> Result<(u64, u64)> {
+        let n = self.n;
+        self.order.clear();
+        self.order.extend(0..n);
+        for (slot, r) in self.query.relations.iter().enumerate() {
+            self.mask[slot] = 1 << slot;
+            self.card[slot] = r.cardinality;
+        }
+        self.adj.copy_from_slice(&self.init_adj);
+        self.sel.copy_from_slice(&self.init_sel);
+        let (mut intermediate, mut instructions) = (0u64, self.scans);
+
+        while self.order.len() > 1 {
+            let chosen = match rng.as_deref_mut() {
+                None => self.pairs().min_by_key(|&(i, j)| self.output(i, j)),
+                Some(rng) => {
+                    let count: u32 = self.order.iter().map(|&s| self.adj[s].count_ones()).sum();
+                    let k = (count > 0).then(|| rng.random_range(0..count as usize / 2));
+                    k.and_then(|k| self.pairs().nth(k))
+                }
+            };
+            let Some((i, j)) = chosen else {
                 return Err(DlbError::plan(
                     "no connected pair of components: predicate graph is disconnected",
                 ));
-            }
-            let chosen = match rng.as_deref_mut() {
-                None => pairs
-                    .iter()
-                    .min_by_key(|(_, _, _, out)| *out)
-                    .copied()
-                    .expect("pairs not empty"),
-                Some(rng) => pairs[rng.random_range(0..pairs.len())],
             };
-            let (i, j, sel, _) = chosen;
-            // Remove j first (larger index) to keep i valid.
-            let (set_j, tree_j) = components.remove(j);
-            let (set_i, tree_i) = components.remove(i);
-            let mut merged = set_i;
-            merged.extend(set_j);
-            components.push((merged, JoinTree::join(tree_i, tree_j, sel)));
-        }
+            let (a, b) = (self.order[i], self.order[j]);
+            let sel = self.sel[a * n + b];
+            let out = self.output(i, j);
+            let (build, probe) = if self.card[a] <= self.card[b] {
+                (self.card[a], self.card[b])
+            } else {
+                (self.card[b], self.card[a])
+            };
+            intermediate += out;
+            instructions += self.cost.build_cost(build).instructions
+                + self.cost.probe_cost(probe, out).instructions;
+            self.history.push(Merge { i, j, sel });
 
-        Ok(components.pop().expect("at least one component").1)
+            self.order.remove(j);
+            self.order.remove(i);
+            self.order.push(a);
+            self.mask[a] |= self.mask[b];
+            self.card[a] = out;
+            // Only the merged row changes: recompute it against every other
+            // live component.
+            self.adj[a] = 0;
+            for &t in &self.order[..self.order.len() - 1] {
+                self.adj[t] &= !(1 << a | 1 << b);
+                if let Some(s) = self.masks.crossing_selectivity(self.mask[a], self.mask[t]) {
+                    self.adj[a] |= 1 << t;
+                    self.adj[t] |= 1 << a;
+                    self.sel[a * n + t] = s;
+                    self.sel[t * n + a] = s;
+                }
+            }
+        }
+        Ok((intermediate, instructions))
+    }
+
+    /// The connected pairs `(i, j)`, `i < j`, of the component list, in
+    /// list order.
+    fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let order = &self.order;
+        order.iter().enumerate().flat_map(move |(i, &a)| {
+            order
+                .iter()
+                .enumerate()
+                .skip(i + 1)
+                .filter(move |&(_, &b)| self.adj[a] & 1 << b != 0)
+                .map(move |(j, _)| (i, j))
+        })
+    }
+
+    /// Estimated output of joining the components at positions `i` and
+    /// `j`: the cardinality [`JoinTree::join`] gives the join node.
+    fn output(&self, i: usize, j: usize) -> u64 {
+        let (a, b) = (self.order[i], self.order[j]);
+        let product = (self.card[a] as f64) * (self.card[b] as f64) * self.sel[a * self.n + b];
+        round_u64(product).max(1)
+    }
+
+    /// Replays candidate `c`'s merges into its join tree.
+    fn tree(&self, c: usize) -> JoinTree {
+        let steps = self.n - 1;
+        let mut components: Vec<JoinTree> = self
+            .query
+            .relations
+            .iter()
+            .map(|r| JoinTree::leaf(r.id, r.cardinality))
+            .collect();
+        for m in &self.history[c * steps..(c + 1) * steps] {
+            let tree_j = components.remove(m.j);
+            let tree_i = components.remove(m.i);
+            components.push(JoinTree::join(tree_i, tree_j, m.sel));
+        }
+        components.pop().expect("at least one component")
     }
 }
 
@@ -192,9 +335,15 @@ mod tests {
         // The greedy candidate is always part of the enumeration, so the best
         // returned tree can never be worse than it.
         let q = sample_query(9, 21);
-        let opt = Optimizer::with_defaults();
-        let greedy = opt.build_tree::<rand::rngs::StdRng>(&q, None).unwrap();
-        let best = opt.optimize(&q).unwrap().remove(0);
+        let greedy_only = OptimizerParams {
+            candidates: 0,
+            ..OptimizerParams::default()
+        };
+        let greedy = Optimizer::new(greedy_only, CostModel::default())
+            .optimize(&q)
+            .unwrap()
+            .remove(0);
+        let best = Optimizer::with_defaults().optimize(&q).unwrap().remove(0);
         assert!(best.intermediate_size() <= greedy.intermediate_size());
     }
 
@@ -223,22 +372,37 @@ mod tests {
     }
 
     #[test]
+    fn queries_over_64_relations_are_a_plan_error() {
+        let at_limit = sample_query(EdgeMasks::MAX_RELATIONS, 4);
+        assert_eq!(
+            Optimizer::with_defaults().optimize(&at_limit).unwrap()[0].leaf_count(),
+            EdgeMasks::MAX_RELATIONS
+        );
+        let over = sample_query(EdgeMasks::MAX_RELATIONS + 1, 4);
+        let err = Optimizer::with_defaults().optimize(&over).unwrap_err();
+        assert!(matches!(err, DlbError::InvalidPlan(_)), "{err:?}");
+        assert!(err.to_string().contains("65 relations"), "{err}");
+    }
+
+    #[test]
     fn no_cartesian_products_in_produced_trees() {
         // Every join node must have at least one predicate edge crossing its
         // two children.
-        fn check(tree: &JoinTree, q: &Query) {
+        fn check(tree: &JoinTree, masks: &EdgeMasks) {
             if let JoinTree::Join { build, probe, .. } = tree {
-                let sel = q
-                    .graph
-                    .crossing_selectivity(&build.relations(), &probe.relations());
+                let sel = masks.crossing_selectivity(
+                    masks.mask(&build.relations()),
+                    masks.mask(&probe.relations()),
+                );
                 assert!(sel.is_some(), "cartesian product found");
-                check(build, q);
-                check(probe, q);
+                check(build, masks);
+                check(probe, masks);
             }
         }
         let q = sample_query(12, 17);
+        let masks = EdgeMasks::new(&q.graph, q.graph.relations()).unwrap();
         for t in Optimizer::with_defaults().optimize(&q).unwrap() {
-            check(&t, &q);
+            check(&t, &masks);
         }
     }
 }

@@ -4,6 +4,7 @@ use hierdb::raw::common::rng::rng_from_seed;
 use hierdb::raw::common::{QueryId, ZipfDistribution};
 use hierdb::raw::exec::{ExecOptions, OutputRouter, Strategy};
 use hierdb::raw::query::generator::{WorkloadGenerator, WorkloadParams};
+use hierdb::raw::query::graph::EdgeMasks;
 use hierdb::raw::query::jointree::JoinTree;
 use hierdb::raw::query::optimizer::Optimizer;
 use hierdb::raw::query::optree::OperatorTree;
@@ -647,15 +648,23 @@ fn open_system_peak_live_stays_bounded_at_10k_queries() {
 /// Helper: every join node of a tree must be backed by at least one predicate
 /// edge between its two sides.
 fn assert_no_cartesian(tree: &JoinTree, query: &hierdb::Query) {
-    if let JoinTree::Join { build, probe, .. } = tree {
-        assert!(
-            query
-                .graph
-                .crossing_selectivity(&build.relations(), &probe.relations())
-                .is_some(),
-            "cartesian product in optimizer output"
-        );
-        assert_no_cartesian(build, query);
-        assert_no_cartesian(probe, query);
+    fn check(tree: &JoinTree, masks: &EdgeMasks) {
+        if let JoinTree::Join { build, probe, .. } = tree {
+            assert!(
+                masks
+                    .crossing_selectivity(
+                        masks.mask(&build.relations()),
+                        masks.mask(&probe.relations())
+                    )
+                    .is_some(),
+                "cartesian product in optimizer output"
+            );
+            check(build, masks);
+            check(probe, masks);
+        }
     }
+    check(
+        tree,
+        &EdgeMasks::new(&query.graph, query.graph.relations()).unwrap(),
+    );
 }
