@@ -99,6 +99,20 @@ impl BitSet {
         x
     }
 
+    /// The smallest index `>= from` in the set, if any. Walking
+    /// `next_from(start)` onwards and then `next_from(0)` up to `start`
+    /// visits the set in rotated order, as `(start..n).chain(0..start)`
+    /// filtered by membership would.
+    pub fn next_from(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut word = self.words.get(w)? & (u64::MAX << (from % 64));
+        while word == 0 {
+            w += 1;
+            word = *self.words.get(w)?;
+        }
+        Some(w * 64 + word.trailing_zeros() as usize)
+    }
+
     /// Removes every index.
     pub fn clear(&mut self) {
         self.words.fill(0);
@@ -194,6 +208,25 @@ mod tests {
         let linear: Vec<usize> = (0..n).filter(|&i| keep(i)).collect();
         assert_eq!(s.iter().collect::<Vec<_>>(), linear);
         assert_eq!(s.len(), linear.len());
+        // The rotated walk from any start, word boundaries included, visits
+        // what `(start..n).chain(0..start).filter(..)` does.
+        for start in [0usize, 1, 63, 64, 65, 127, 128, 250, 499] {
+            let rotated: Vec<usize> = (start..n).chain(0..start).filter(|&i| keep(i)).collect();
+            let mut walk = Vec::new();
+            let mut from = start;
+            while let Some(i) = s.next_from(from) {
+                walk.push(i);
+                from = i + 1;
+            }
+            from = 0;
+            while let Some(i) = s.next_from(from).filter(|&i| i < start) {
+                walk.push(i);
+                from = i + 1;
+            }
+            assert_eq!(walk, rotated, "start {start}");
+        }
+        assert_eq!(s.next_from(n), None);
+        assert_eq!(s.next_from(10_000), None);
     }
 
     #[test]
@@ -201,6 +234,9 @@ mod tests {
         let indices = [0usize, 1, 63, 64, 65, 127, 128, 300];
         let s: BitSet = indices.iter().copied().collect();
         for base in [0usize, 1, 60, 64, 100, 290, 400] {
+            // The next member at or after `base`, across empty words too.
+            let next = indices.iter().copied().find(|&i| i >= base);
+            assert_eq!(s.next_from(base), next, "next_from {base}");
             for len in [0usize, 1, 5, 64] {
                 let word = s.extract_range(base, len);
                 for j in 0..len {

@@ -43,8 +43,22 @@
 //! instead of composing solo runs with an analytic contention model; see
 //! [`crate::mix::MixMode`]. The loop is strictly sequential and seeded, so
 //! co-simulated runs are bit-identical regardless of harness thread counts.
+//!
+//! ## One constructor, one selection path
+//!
+//! Every entry point builds the same engine through one constructor over a
+//! lane source: a closed query list (with its topology-event stream) for
+//! [`execute`], [`execute_cosimulated`] and [`execute_cosimulated_faulted`],
+//! or an [`OpenTraffic`] stream for [`execute_open`]. The source decides only
+//! how lanes are laid out and when each is installed — all up front in
+//! closed mode, one per admission in open mode — and the same
+//! `install_lane` writes a lane's operators either way. Work selection has
+//! one path for every plan and node width: candidate sets are walked a
+//! 64-bit word at a time across as many words as the lane spans, and the
+//! per-node queue and idle-thread sets are multi-word bitsets.
 
 use crate::activation::{Activation, ActivationKind, ActivationQueue, DrainOutcome};
+use crate::fp::ThreadAssignment;
 use crate::options::{ErrorRealization, ExecOptions, RecoveryPolicy};
 use crate::report::{CoSimReport, ExecutionReport, FaultStats, OpenReport, QueryExecReport};
 use crate::router::OutputRouter;
@@ -372,6 +386,46 @@ struct LaneRuntime<'a> {
     result_tuples: u64,
 }
 
+impl<'a> LaneRuntime<'a> {
+    /// A lane of `n_ops` operators of `plan` at `base`, not yet admitted:
+    /// arrival at time zero, priority 1, no placement mask, no working set.
+    fn new(plan: &'a ParallelPlan, base: usize, n_ops: usize, skew: f64) -> Self {
+        Self {
+            plan,
+            arrival: SimTime::ZERO,
+            priority: 1,
+            skew,
+            mask: None,
+            memory_bytes: 0,
+            mem_per_node: 0,
+            reserved: Vec::new(),
+            released: false,
+            base,
+            n_ops,
+            started: false,
+            admitted_at: SimTime::ZERO,
+            ops_terminated: 0,
+            finished_at: SimTime::ZERO,
+            activations: 0,
+            tuples_processed: 0,
+            result_tuples: 0,
+        }
+    }
+}
+
+/// Where an engine's lanes come from.
+pub(crate) enum LaneSource<'s, 'a> {
+    /// A fixed query list, every lane installed up front, plus the
+    /// topology-event stream injected into the run (closed mode).
+    Closed {
+        queries: &'s [CoSimQuery<'a>],
+        topology: &'s [TopologyEvent],
+    },
+    /// An arrival stream over query templates, admitted into
+    /// `concurrency` recyclable lane slots (open mode).
+    Open(&'s OpenTraffic<'a>),
+}
+
 /// Per-operator global runtime state.
 struct OpRuntime {
     /// The lane (query) this operator belongs to.
@@ -430,11 +484,10 @@ struct OpNodeRuntime {
     started_disks: BTreeSet<u32>,
     /// Round-robin cursor for placing acquired activations into queues.
     steal_cursor: usize,
-    /// Bitmask of queues holding at least one activation (bit = slot index,
-    /// maintained for slots < 64 — wider machines fall back to scanning).
-    /// Lets work selection jump straight to a loaded queue instead of
-    /// probing every empty one.
-    nonempty: u64,
+    /// Slots of the queues holding at least one activation, over as many
+    /// words as the node has threads. Lets work selection jump straight to
+    /// a loaded queue instead of probing every empty one.
+    nonempty: BitSet,
 }
 
 impl OpNodeRuntime {
@@ -454,7 +507,7 @@ impl OpNodeRuntime {
             hash_copied_from: BTreeSet::new(),
             started_disks: BTreeSet::new(),
             steal_cursor: 0,
-            nonempty: 0,
+            nonempty: BitSet::with_capacity(threads_per_node),
         }
     }
 
@@ -479,8 +532,8 @@ impl OpNodeRuntime {
     fn enqueue(&mut self, slot: usize, a: Activation) -> bool {
         let pushed = self.queues[slot].push(a);
         self.queued += pushed as u32;
-        if pushed && slot < 64 {
-            self.nonempty |= 1u64 << slot;
+        if pushed {
+            self.nonempty.insert(slot);
         }
         pushed
     }
@@ -496,8 +549,8 @@ impl OpNodeRuntime {
     fn dequeue(&mut self, slot: usize) -> Option<Activation> {
         let a = self.queues[slot].pop();
         self.queued -= a.is_some() as u32;
-        if a.is_some() && slot < 64 && self.queues[slot].is_empty() {
-            self.nonempty &= !(1u64 << slot);
+        if a.is_some() && self.queues[slot].is_empty() {
+            self.nonempty.remove(slot);
         }
         a
     }
@@ -511,8 +564,8 @@ impl OpNodeRuntime {
     ) -> DrainOutcome {
         let outcome = self.queues[slot].drain_into(max, out);
         self.queued -= outcome.count as u32;
-        if outcome.count > 0 && slot < 64 && self.queues[slot].is_empty() {
-            self.nonempty &= !(1u64 << slot);
+        if outcome.count > 0 && self.queues[slot].is_empty() {
+            self.nonempty.remove(slot);
         }
         outcome
     }
@@ -543,16 +596,13 @@ impl OpNodeRuntime {
         self.queues.iter().map(|q| q.queued_tuples()).sum::<u64>() + self.parked_tuples
     }
 
-    /// The nonempty-queue bitmask, consistency-checked in debug builds.
-    /// Only meaningful when every slot fits the mask (`queues.len() <= 64`).
-    fn nonempty_mask(&self) -> u64 {
+    /// The nonempty-queue set, consistency-checked in debug builds.
+    fn nonempty(&self) -> &BitSet {
         debug_assert!(
-            self.queues.len() > 64
-                || (0..self.queues.len())
-                    .all(|s| self.queues[s].is_empty() != (self.nonempty >> s & 1 == 1)),
-            "nonempty bitmask drifted from queue contents"
+            (0..self.queues.len()).all(|s| self.queues[s].is_empty() != self.nonempty.contains(s)),
+            "nonempty bitset drifted from queue contents"
         );
-        self.nonempty
+        &self.nonempty
     }
 
     fn queued_activations(&self) -> usize {
@@ -569,14 +619,6 @@ impl OpNodeRuntime {
     }
 }
 
-struct ThreadRuntime {
-    idle: bool,
-    /// FP only: the set of global operator indices this thread's static
-    /// allocation permits, as a bitset so the per-op membership test in
-    /// work selection is a word probe instead of a tree walk.
-    allowed: Option<BitSet>,
-}
-
 /// The slice of per-lane state the work-selection inner loop reads,
 /// packed contiguously (structure-of-arrays) so a scheduling pass over all
 /// lanes touches a handful of cache lines instead of one wide
@@ -588,6 +630,19 @@ struct LaneHot {
     n_ops: u32,
     started: bool,
 }
+
+impl LaneHot {
+    fn of(lane: &LaneRuntime<'_>) -> Self {
+        Self {
+            base: lane.base as u32,
+            n_ops: lane.n_ops as u32,
+            started: lane.started,
+        }
+    }
+}
+
+/// Bits per word of the candidate sets work selection walks.
+const WORD_BITS: usize = u64::BITS as usize;
 
 /// One collected steal offer: `(provider, op, tuples, bytes, load, epoch)`.
 type OfferEntry = (usize, usize, u64, u64, u64, u64);
@@ -626,12 +681,10 @@ pub(crate) struct QueueEngine<'a> {
     /// Cached [`Policy::push_config`] (`None` for pull-only policies, so the
     /// push probe in the data-delivery path costs one branch there).
     push: Option<PushConfig>,
-    /// Cached [`Policy::custom_work_mask`]: policies are stateless
-    /// singletons with fixed parameters, so the hot-loop hooks below are
-    /// snapshot once at construction and the selection/steal paths branch on
-    /// plain fields instead of paying virtual dispatch per event.
-    custom_mask: bool,
-    /// Cached [`Policy::starving_scope`].
+    /// Cached [`Policy::starving_scope`]: policies are stateless
+    /// singletons with fixed parameters, so the hot-loop hooks are snapshot
+    /// once at construction and the steal paths branch on plain fields
+    /// instead of paying virtual dispatch per event.
     scope: StealScope,
     /// Cached [`Policy::prefers_cached_tables`].
     prefers_cached: bool,
@@ -658,13 +711,17 @@ pub(crate) struct QueueEngine<'a> {
     /// instead of touching every operator's queue state; every queue
     /// mutation site keeps it in sync.
     ready: Vec<BitSet>,
-    /// Per-node bitmask of idle threads (bit `t` = thread `t` is idle),
-    /// mirroring `ThreadRuntime::idle` so wake scans are a word probe.
-    /// Only maintained for machines with at most 64 threads per node;
-    /// wider nodes fall back to the boolean scan.
-    idle_threads: Vec<u64>,
+    /// Per-node set of idle threads, so wake scans walk set bits only.
+    idle_threads: Vec<BitSet>,
+    /// Scratch for [`Self::select_work`]: the candidate words of the lane
+    /// being scanned, one per [`WORD_BITS`] operators.
+    cand: Vec<u64>,
     op_nodes: Vec<Vec<Option<OpNodeRuntime>>>,
-    threads: Vec<Vec<ThreadRuntime>>,
+    /// FP only: per node and thread, the global operator indices the
+    /// thread's static allocation permits (`None` = unconstrained), as
+    /// bitsets so work selection intersects them with the ready set a word
+    /// at a time.
+    allowed: Vec<Vec<Option<BitSet>>>,
     node_lb: Vec<NodeLb>,
     disk_cursor: Vec<u32>,
 
@@ -704,45 +761,172 @@ pub(crate) struct QueueEngine<'a> {
 }
 
 impl<'a> QueueEngine<'a> {
+    /// Builds an engine over `source`'s lanes and schedules the run's first
+    /// events. A closed source installs every lane up front, admits the
+    /// lanes that arrive at time zero and schedules a `QueryStart` for each
+    /// later one; an open source starts with every lane slot empty and
+    /// installs a lane per admission. Either way every thread is then
+    /// kicked off at time zero, the topology stream is injected, the initial
+    /// end check runs, and an open run schedules its first arrival.
     pub(crate) fn new(
-        plan: &'a ParallelPlan,
+        source: LaneSource<'_, 'a>,
         config: SystemConfig,
         strategy: Strategy,
         options: ExecOptions,
     ) -> Result<Self> {
-        Self::new_cosim(
-            &[CoSimQuery {
-                plan,
-                arrival_secs: 0.0,
-                priority: 1,
-                skew: options.skew,
-                mask: None,
-                memory_bytes: 0,
-            }],
-            config,
-            strategy,
-            options,
-            &[],
-        )
-    }
-
-    pub(crate) fn new_cosim(
-        queries: &[CoSimQuery<'a>],
-        config: SystemConfig,
-        strategy: Strategy,
-        options: ExecOptions,
-        topology: &[TopologyEvent],
-    ) -> Result<Self> {
-        if queries.is_empty() {
-            return Err(DlbError::config("co-simulation needs at least one query"));
-        }
         if config.machine.nodes == 0 || config.machine.processors_per_node == 0 {
             return Err(DlbError::config(
                 "machine needs at least one node and processor",
             ));
         }
+        let (lanes, op_slots, open, topology) = match source {
+            LaneSource::Closed { queries, topology } => {
+                let lanes = Self::closed_lanes(queries, &config)?;
+                let op_slots = lanes.iter().map(|l| l.n_ops).sum();
+                let topology = validate_topology(topology, config.machine.nodes)?;
+                (lanes, op_slots, None, topology)
+            }
+            LaneSource::Open(traffic) => {
+                let (lanes, op_slots, open) = Self::open_lanes(traffic, &config, &options)?;
+                (lanes, op_slots, Some(open), Vec::new())
+            }
+        };
+        let mut lane_order: Vec<usize> = (0..lanes.len()).collect();
+        lane_order.sort_by(|&a, &b| lanes[b].priority.cmp(&lanes[a].priority).then(a.cmp(&b)));
+        // Every op slot starts as a terminated placeholder of the lane whose
+        // range holds it; installing a lane revives its slots.
+        let ops = (0..op_slots)
+            .map(|op| Self::placeholder_op(lanes.partition_point(|l| l.base <= op) - 1))
+            .collect();
+        let nodes = config.machine.nodes as usize;
+        let threads_per_node = config.machine.processors_per_node as usize;
+        let disks_per_node =
+            (config.machine.processors_per_node * config.disk.disks_per_processor).max(1);
+        let mut engine = Self {
+            lane_hot: lanes.iter().map(LaneHot::of).collect(),
+            lanes,
+            lane_order,
+            config,
+            options,
+            strategy,
+            push: strategy.push_config(),
+            scope: strategy.starving_scope(),
+            prefers_cached: strategy.prefers_cached_tables(),
+            cost: CostModel::new(config.costs, config.disk, config.cpu),
+            nodes,
+            threads_per_node,
+            disks_per_node,
+            calendar: EventCalendar::new(),
+            disks: DiskFarm::new(config.disk, config.machine.nodes, disks_per_node),
+            network: Network::new(config.network, config.cpu, config.machine.nodes),
+            cpu: CpuAccounting::new(config.machine.nodes, config.machine.processors_per_node),
+            ops,
+            live_ops: BitSet::with_capacity(op_slots),
+            ready: (0..nodes)
+                .map(|_| BitSet::with_capacity(op_slots))
+                .collect(),
+            idle_threads: (0..nodes)
+                .map(|_| BitSet::with_capacity(threads_per_node))
+                .collect(),
+            cand: Vec::new(),
+            op_nodes: (0..op_slots)
+                .map(|_| (0..nodes).map(|_| None).collect())
+                .collect(),
+            allowed: (0..nodes)
+                .map(|_| {
+                    (0..threads_per_node)
+                        .map(|_| strategy.constrains_threads().then(BitSet::default))
+                        .collect()
+                })
+                .collect(),
+            node_lb: (0..nodes).map(|_| NodeLb::default()).collect(),
+            disk_cursor: vec![0; nodes],
+            epochs: vec![0; op_slots],
+            open,
+            free_mem: vec![config.machine.memory_per_node_bytes; nodes],
+            admission_queue: VecDeque::new(),
+            topology,
+            live: vec![true; nodes],
+            faults: FaultStats::default(),
+            activations_done: 0,
+            tuples_processed: 0,
+            result_tuples: 0,
+            lb_requests: 0,
+            lb_acquisitions: 0,
+            lb_bytes: 0,
+            ops_terminated: op_slots,
+            finished_at: SimTime::ZERO,
+        };
+
+        if engine.open.is_none() {
+            for lane in 0..engine.lanes.len() {
+                engine.install_lane(lane)?;
+            }
+            engine.allow_closed_lanes();
+            // Every lane already arrived at time zero enters the admission
+            // queue in mix order and is admitted — memory reserved, triggers
+            // seeded — while its placement has room (head-of-line FCFS,
+            // exactly like `mix::schedule_mix`); later arrivals get a
+            // QueryStart event at their instant.
+            for lane in 0..engine.lanes.len() {
+                let arrival = engine.lanes[lane].arrival;
+                if arrival == SimTime::ZERO {
+                    engine.admission_queue.push_back(lane);
+                } else {
+                    engine
+                        .calendar
+                        .schedule_at(arrival, Event::QueryStart { lane });
+                }
+            }
+            while let Some(lane) = engine.try_reserve_head() {
+                engine.start_lane(lane);
+            }
+        }
+
+        // Kick off every thread at time zero. In open mode they run before
+        // the first arrival at the same instant: they find nothing and go
+        // idle, and the admission wakes them with the seeded triggers in
+        // place.
+        for node in 0..engine.nodes {
+            for thread in 0..engine.threads_per_node {
+                engine
+                    .calendar
+                    .schedule_at(SimTime::ZERO, Event::ThreadReady { node, thread });
+            }
+        }
+        // Inject the topology stream: each validated event fires at its
+        // instant. Events past the end of the run are simply never popped.
+        for index in 0..engine.topology.len() {
+            let at = SimTime::ZERO + Duration::from_secs_f64(engine.topology[index].at_secs);
+            engine.calendar.schedule_at(at, Event::Topology { index });
+        }
+        // Scans with no local data (or empty relations) can complete right
+        // away; run an initial end check over everything already started.
+        for op in 0..engine.ops.len() {
+            for node in 0..engine.nodes {
+                engine.check_local_end(op, node);
+            }
+        }
+        if let Some(first) = engine.open.as_ref().and_then(|open| open.upcoming) {
+            engine.calendar.schedule_at(
+                SimTime::ZERO + Duration::from_secs_f64(first.offset_secs),
+                Event::OpenArrival,
+            );
+        }
+        Ok(engine)
+    }
+
+    /// Validates a closed query list and lays its lanes out back to back:
+    /// lane 0's operators first, so single-query indices coincide with
+    /// plan-local indices.
+    fn closed_lanes(
+        queries: &[CoSimQuery<'a>],
+        config: &SystemConfig,
+    ) -> Result<Vec<LaneRuntime<'a>>> {
+        if queries.is_empty() {
+            return Err(DlbError::config("co-simulation needs at least one query"));
+        }
         let machine_nodes = config.machine.nodes as usize;
-        let topology = validate_topology(topology, config.machine.nodes)?;
         let mut lanes: Vec<LaneRuntime<'a>> = Vec::with_capacity(queries.len());
         let mut base = 0usize;
         for (i, q) in queries.iter().enumerate() {
@@ -795,112 +979,33 @@ impl<'a> QueueEngine<'a> {
                 )));
             }
             let n_ops = q.plan.tree.operators().len();
-            lanes.push(LaneRuntime {
-                plan: q.plan,
-                arrival: SimTime::ZERO + Duration::from_secs_f64(q.arrival_secs),
-                priority: q.priority,
-                skew: q.skew,
-                mask,
-                memory_bytes: q.memory_bytes,
-                mem_per_node,
-                reserved: Vec::new(),
-                released: false,
-                base,
-                n_ops,
-                started: false,
-                admitted_at: SimTime::ZERO,
-                ops_terminated: 0,
-                finished_at: SimTime::ZERO,
-                activations: 0,
-                tuples_processed: 0,
-                result_tuples: 0,
-            });
+            let mut lane = LaneRuntime::new(q.plan, base, n_ops, q.skew);
+            lane.arrival = SimTime::ZERO + Duration::from_secs_f64(q.arrival_secs);
+            lane.priority = q.priority;
+            lane.mask = mask;
+            lane.memory_bytes = q.memory_bytes;
+            lane.mem_per_node = mem_per_node;
+            lanes.push(lane);
             base += n_ops;
         }
-        let mut lane_order: Vec<usize> = (0..lanes.len()).collect();
-        lane_order.sort_by(|&a, &b| lanes[b].priority.cmp(&lanes[a].priority).then(a.cmp(&b)));
-        let lane_hot = lanes
-            .iter()
-            .map(|l| LaneHot {
-                base: l.base as u32,
-                n_ops: l.n_ops as u32,
-                started: l.started,
-            })
-            .collect();
-        let nodes = config.machine.nodes as usize;
-        let threads_per_node = config.machine.processors_per_node as usize;
-        let disks_per_node =
-            (config.machine.processors_per_node * config.disk.disks_per_processor).max(1);
-        let cost = CostModel::new(config.costs, config.disk, config.cpu);
-
-        let mut engine = Self {
-            lanes,
-            lane_hot,
-            lane_order,
-            config,
-            options,
-            strategy,
-            push: strategy.push_config(),
-            custom_mask: strategy.custom_work_mask(),
-            scope: strategy.starving_scope(),
-            prefers_cached: strategy.prefers_cached_tables(),
-            cost,
-            nodes,
-            threads_per_node,
-            disks_per_node,
-            calendar: EventCalendar::new(),
-            disks: DiskFarm::new(config.disk, config.machine.nodes, disks_per_node),
-            network: Network::new(config.network, config.cpu, config.machine.nodes),
-            cpu: CpuAccounting::new(config.machine.nodes, config.machine.processors_per_node),
-            ops: Vec::new(),
-            live_ops: BitSet::default(),
-            ready: (0..nodes).map(|_| BitSet::default()).collect(),
-            idle_threads: vec![0; nodes],
-            op_nodes: Vec::new(),
-            threads: Vec::new(),
-            node_lb: (0..nodes).map(|_| NodeLb::default()).collect(),
-            disk_cursor: vec![0; nodes],
-            epochs: Vec::new(),
-            open: None,
-            free_mem: vec![config.machine.memory_per_node_bytes; nodes],
-            admission_queue: VecDeque::new(),
-            topology,
-            live: vec![true; nodes],
-            faults: FaultStats::default(),
-            activations_done: 0,
-            tuples_processed: 0,
-            result_tuples: 0,
-            lb_requests: 0,
-            lb_acquisitions: 0,
-            lb_bytes: 0,
-            ops_terminated: 0,
-            finished_at: SimTime::ZERO,
-        };
-        engine.initialize()?;
-        engine.epochs = vec![0; engine.ops.len()];
-        Ok(engine)
+        Ok(lanes)
     }
 
-    /// Builds an engine in open-system mode: `concurrency` recyclable lane
-    /// slots, each owning a fixed contiguous range of `max_ops` operator
-    /// slots, fed by the arrival stream instead of a fixed query list.
-    pub(crate) fn new_open(
+    /// Validates open traffic and lays out its `concurrency` empty lane
+    /// slots, each owning a fixed contiguous range of as many op slots as
+    /// the largest template has operators. Returns the slots, the op-slot
+    /// count and the open-mode state.
+    fn open_lanes(
         traffic: &OpenTraffic<'a>,
-        config: SystemConfig,
-        strategy: Strategy,
-        options: ExecOptions,
-    ) -> Result<Self> {
+        config: &SystemConfig,
+        options: &ExecOptions,
+    ) -> Result<(Vec<LaneRuntime<'a>>, usize, OpenState<'a>)> {
         if traffic.templates.is_empty() {
             return Err(DlbError::config("open traffic needs at least one template"));
         }
         if traffic.concurrency == 0 {
             return Err(DlbError::config(
                 "open traffic needs a concurrency level of at least 1",
-            ));
-        }
-        if config.machine.nodes == 0 || config.machine.processors_per_node == 0 {
-            return Err(DlbError::config(
-                "machine needs at least one node and processor",
             ));
         }
         if traffic.arrivals.templates != traffic.templates.len() {
@@ -952,52 +1057,12 @@ impl<'a> QueueEngine<'a> {
             .max()
             .expect("at least one template");
         let concurrency = traffic.concurrency;
-        let threads_per_node = config.machine.processors_per_node as usize;
-        let disks_per_node =
-            (config.machine.processors_per_node * config.disk.disks_per_processor).max(1);
-        let cost = CostModel::new(config.costs, config.disk, config.cpu);
-
-        // Slot pool: every lane starts empty (retired) and is populated per
-        // admission; every op slot starts as a terminated placeholder.
-        let lanes: Vec<LaneRuntime<'a>> = (0..concurrency)
-            .map(|i| LaneRuntime {
-                plan: traffic.templates[0].plan,
-                arrival: SimTime::ZERO,
-                priority: 1,
-                skew: options.skew,
-                mask: None,
-                memory_bytes: 0,
-                mem_per_node: 0,
-                reserved: Vec::new(),
-                released: true,
-                base: i * max_ops,
-                n_ops: 0,
-                started: false,
-                admitted_at: SimTime::ZERO,
-                ops_terminated: 0,
-                finished_at: SimTime::ZERO,
-                activations: 0,
-                tuples_processed: 0,
-                result_tuples: 0,
-            })
-            .collect();
-        let total_ops = concurrency * max_ops;
-        let ops: Vec<OpRuntime> = (0..total_ops)
-            .map(|i| Self::placeholder_op(i / max_ops))
-            .collect();
-        let op_nodes: Vec<Vec<Option<OpNodeRuntime>>> = (0..total_ops)
-            .map(|_| (0..nodes).map(|_| None).collect())
-            .collect();
-        // FP threads start with empty allowed sets; admissions insert a
-        // fresh per-lane allocation, retirements remove it again.
-        let threads: Vec<Vec<ThreadRuntime>> = (0..nodes)
-            .map(|_| {
-                (0..threads_per_node)
-                    .map(|_| ThreadRuntime {
-                        idle: false,
-                        allowed: strategy.constrains_threads().then(BitSet::default),
-                    })
-                    .collect()
+        let lanes = (0..concurrency)
+            .map(|i| {
+                let mut lane =
+                    LaneRuntime::new(traffic.templates[0].plan, i * max_ops, 0, options.skew);
+                lane.released = true;
+                lane
             })
             .collect();
         let priority_classes = traffic.arrivals.priority_classes as usize;
@@ -1036,85 +1101,13 @@ impl<'a> QueueEngine<'a> {
             response_coalesced: LatencyHistogram::new(),
             front_finish: SimTime::ZERO,
         };
-
-        let lane_hot = lanes
-            .iter()
-            .map(|l| LaneHot {
-                base: l.base as u32,
-                n_ops: l.n_ops as u32,
-                started: l.started,
-            })
-            .collect();
-        let mut engine = Self {
-            lanes,
-            lane_hot,
-            lane_order: (0..concurrency).collect(),
-            config,
-            options,
-            strategy,
-            push: strategy.push_config(),
-            custom_mask: strategy.custom_work_mask(),
-            scope: strategy.starving_scope(),
-            prefers_cached: strategy.prefers_cached_tables(),
-            cost,
-            nodes,
-            threads_per_node,
-            disks_per_node,
-            calendar: EventCalendar::new(),
-            disks: DiskFarm::new(config.disk, config.machine.nodes, disks_per_node),
-            network: Network::new(config.network, config.cpu, config.machine.nodes),
-            cpu: CpuAccounting::new(config.machine.nodes, config.machine.processors_per_node),
-            ops,
-            // Placeholder slots are all terminated; admissions insert the
-            // revived op indices, terminations remove them again.
-            live_ops: BitSet::with_capacity(total_ops),
-            ready: (0..nodes)
-                .map(|_| BitSet::with_capacity(total_ops))
-                .collect(),
-            idle_threads: vec![0; nodes],
-            op_nodes,
-            threads,
-            node_lb: (0..nodes).map(|_| NodeLb::default()).collect(),
-            disk_cursor: vec![0; nodes],
-            epochs: vec![0; total_ops],
-            open: Some(open),
-            free_mem: vec![config.machine.memory_per_node_bytes; nodes],
-            admission_queue: VecDeque::new(),
-            topology: Vec::new(),
-            live: vec![true; nodes],
-            faults: FaultStats::default(),
-            activations_done: 0,
-            tuples_processed: 0,
-            result_tuples: 0,
-            lb_requests: 0,
-            lb_acquisitions: 0,
-            lb_bytes: 0,
-            ops_terminated: total_ops,
-            finished_at: SimTime::ZERO,
-        };
-
-        // Kick off every thread, then schedule the first arrival (threads at
-        // the same instant run first — they find nothing and go idle, and
-        // the admission wakes them with the seeded triggers in place).
-        for node in 0..engine.nodes {
-            for thread in 0..engine.threads_per_node {
-                engine
-                    .calendar
-                    .schedule_at(SimTime::ZERO, Event::ThreadReady { node, thread });
-            }
-        }
-        if let Some(first) = engine.open.as_ref().expect("open mode").upcoming {
-            engine.calendar.schedule_at(
-                SimTime::ZERO + Duration::from_secs_f64(first.offset_secs),
-                Event::OpenArrival,
-            );
-        }
-        Ok(engine)
+        Ok((lanes, concurrency * max_ops, open))
     }
 
-    /// A permanently terminated operator slot: what unused and retired op
-    /// slots of an open run hold. Empty home, no queue state, scan kind (so
-    /// every steal-candidate filter skips it).
+    /// A permanently terminated operator slot: what op slots hold before
+    /// their lane is installed and after an open run retires it. Empty
+    /// home, no queue state, scan kind (so every steal-candidate filter
+    /// skips it).
     fn placeholder_op(lane: usize) -> OpRuntime {
         OpRuntime {
             lane,
@@ -1126,7 +1119,7 @@ impl<'a> QueueEngine<'a> {
             output_ratio: 0.0,
             blockers_remaining: 0,
             terminated: true,
-            router: OutputRouter::new(1, 0.0, 0),
+            router: OutputRouter::empty(),
             input_sent: 0,
             input_delivered: 0,
             input_processed: 0,
@@ -1148,209 +1141,145 @@ impl<'a> QueueEngine<'a> {
             .collect()
     }
 
-    fn initialize(&mut self) -> Result<()> {
-        // Per-operator global state, lane by lane (lane 0's operators first,
-        // so single-query indices coincide with plan-local indices).
-        for lane_idx in 0..self.lanes.len() {
-            let lane = &self.lanes[lane_idx];
-            let plan = lane.plan;
-            let base = lane.base;
-            let skew = lane.skew;
-            let joins = plan.tree.joins();
-            for op in plan.tree.operators() {
-                // A placement mask re-homes every operator of the lane onto
-                // the mask's nodes; without one the plan's own homes apply
-                // (clipped to the machine).
-                let home: Vec<NodeId> = match &lane.mask {
-                    Some(mask) => mask.clone(),
-                    None => plan
-                        .homes
-                        .home(op.id)
-                        .nodes()
-                        .iter()
-                        .copied()
-                        .filter(|n| n.index() < self.nodes)
-                        .collect(),
-                };
-                if home.is_empty() {
-                    return Err(DlbError::plan(format!(
-                        "operator {} has no home node within the machine",
-                        op.id
-                    )));
-                }
-                let mut blockers: Vec<OperatorId> = plan.blocked_by(op.id);
-                blockers.sort_unstable();
-                blockers.dedup();
-                let output_ratio = if op.input_tuples == 0 {
-                    0.0
-                } else {
-                    op.output_tuples as f64 / op.input_tuples as f64
-                };
-                let build_twin = match op.kind {
-                    OperatorKind::Probe { join } => joins.get(&join).map(|(b, _)| base + b.index()),
-                    _ => None,
-                };
-                let slots = home.len() * self.threads_per_node;
-                self.ops.push(OpRuntime {
-                    lane: lane_idx,
-                    kind: op.kind,
-                    consumer: op.consumer.map(|c| base + c.index()),
-                    home,
-                    output_ratio,
-                    blockers_remaining: blockers.len(),
-                    terminated: false,
-                    // The rotation uses the *global* index so that the hot
-                    // slots of same-shaped queries in a co-simulated mix do
-                    // not all land on the same threads (for a single query
-                    // the global index is the plan-local index).
-                    router: OutputRouter::new(slots, skew, base + op.id.index()),
-                    input_sent: 0,
-                    input_delivered: 0,
-                    input_processed: 0,
-                    phase1_reports: 0,
-                    phase2_started: false,
-                    phase2_confirms: 0,
-                    build_twin,
-                    producers: Self::global_producers(plan, base, op.id),
-                });
+    /// Installs lane `lane_idx`'s plan over its op slots: fresh operator
+    /// runtimes in `ops[base..base + n_ops]`, queue state on every home
+    /// node, and the slots marked live. A placement mask re-homes every
+    /// operator of the lane onto the mask's nodes; without one the plan's
+    /// own homes apply, clipped to the machine.
+    fn install_lane(&mut self, lane_idx: usize) -> Result<()> {
+        let lane = &self.lanes[lane_idx];
+        let (plan, base, skew) = (lane.plan, lane.base, lane.skew);
+        let mask = lane.mask.clone();
+        let joins = plan.tree.joins();
+        for op in plan.tree.operators() {
+            let idx = base + op.id.index();
+            let home: Vec<NodeId> = match &mask {
+                Some(mask) => mask.clone(),
+                None => plan
+                    .homes
+                    .home(op.id)
+                    .nodes()
+                    .iter()
+                    .copied()
+                    .filter(|n| n.index() < self.nodes)
+                    .collect(),
+            };
+            if home.is_empty() {
+                return Err(DlbError::plan(format!(
+                    "operator {} has no home node within the machine",
+                    op.id
+                )));
             }
-        }
-
-        // Closed mode never recycles op slots: every operator starts live.
-        self.live_ops = (0..self.ops.len()).collect();
-
-        // Per-(op, node) state for home nodes.
-        for op_idx in 0..self.ops.len() {
-            let mut per_node: Vec<Option<OpNodeRuntime>> = (0..self.nodes).map(|_| None).collect();
-            for node in &self.ops[op_idx].home {
-                per_node[node.index()] = Some(OpNodeRuntime::new(
+            let mut blockers: Vec<OperatorId> = plan.blocked_by(op.id);
+            blockers.sort_unstable();
+            blockers.dedup();
+            let output_ratio = if op.input_tuples == 0 {
+                0.0
+            } else {
+                op.output_tuples as f64 / op.input_tuples as f64
+            };
+            let build_twin = match op.kind {
+                OperatorKind::Probe { join } => joins.get(&join).map(|(b, _)| base + b.index()),
+                _ => None,
+            };
+            // A placeholder slot holds no queue state on any node.
+            debug_assert!(self.op_nodes[idx].iter().all(Option::is_none));
+            for node in &home {
+                self.op_nodes[idx][node.index()] = Some(OpNodeRuntime::new(
                     self.threads_per_node,
                     self.options.flow.queue_capacity,
                 ));
             }
-            self.op_nodes.push(per_node);
-        }
-
-        // Threads: FP computes a per-node static allocation (one per lane
-        // homed on the node, mapped to global operator ids and unioned per
-        // thread), DP leaves them unconstrained. Under the default
-        // `ErrorRealization::Shared` each lane's distorted complexity
-        // estimates are drawn ONCE and the resulting allocation is reused by
-        // every node of its placement — the paper's reading: the optimizer
-        // mis-estimates a cardinality once, not once per node.
-        // `ErrorRealization::PerNode` keeps the historical fresh-draw-per-
-        // node behaviour for comparison studies.
-        let mut fp_rng = rng_from_seed(self.options.seed);
-        let shared_assignments: Option<Vec<crate::fp::ThreadAssignment>> =
-            if self.strategy.constrains_threads()
-                && self.options.fp_realization == ErrorRealization::Shared
-            {
-                Some(
-                    self.lanes
-                        .iter()
-                        .map(|lane| {
-                            self.strategy
-                                .allocate(
-                                    lane.plan,
-                                    self.threads_per_node as u32,
-                                    &self.cost,
-                                    &mut fp_rng,
-                                )
-                                .unwrap_or_default()
-                        })
-                        .collect(),
-                )
-            } else {
-                None
+            self.ops[idx] = OpRuntime {
+                lane: lane_idx,
+                kind: op.kind,
+                consumer: op.consumer.map(|c| base + c.index()),
+                // The rotation uses the *global* index so that the hot
+                // slots of same-shaped queries in a co-simulated mix do
+                // not all land on the same threads (for a single query
+                // the global index is the plan-local index).
+                router: OutputRouter::new(home.len() * self.threads_per_node, skew, idx),
+                home,
+                output_ratio,
+                blockers_remaining: blockers.len(),
+                terminated: false,
+                input_sent: 0,
+                input_delivered: 0,
+                input_processed: 0,
+                phase1_reports: 0,
+                phase2_started: false,
+                phase2_confirms: 0,
+                build_twin,
+                producers: Self::global_producers(plan, base, op.id),
             };
-        for node in 0..self.nodes {
-            let allowed: Option<Vec<BitSet>> = if self.strategy.constrains_threads() {
-                let mut per_thread: Vec<BitSet> = vec![BitSet::default(); self.threads_per_node];
-                for (lane_idx, lane) in self.lanes.iter().enumerate() {
-                    // A pinned lane only constrains the threads of its
-                    // own placement nodes.
-                    if let Some(mask) = &lane.mask {
-                        if !mask.contains(&NodeId::from(node)) {
-                            continue;
-                        }
-                    }
-                    let fresh;
-                    let assignment = match &shared_assignments {
-                        Some(assignments) => &assignments[lane_idx],
-                        None => {
-                            fresh = self
-                                .strategy
-                                .allocate(
-                                    lane.plan,
-                                    self.threads_per_node as u32,
-                                    &self.cost,
-                                    &mut fp_rng,
-                                )
-                                .unwrap_or_default();
-                            &fresh
-                        }
-                    };
-                    for (t, ops) in assignment.iter().enumerate() {
-                        for o in ops {
-                            per_thread[t].insert(lane.base + o.index());
-                        }
-                    }
-                }
-                Some(per_thread)
-            } else {
-                None
-            };
-            let threads = (0..self.threads_per_node)
-                .map(|t| ThreadRuntime {
-                    idle: false,
-                    allowed: allowed.as_ref().map(|a| a[t].clone()),
-                })
-                .collect();
-            self.threads.push(threads);
-        }
-
-        // Every lane already arrived at time zero enters the admission queue
-        // in mix order and is admitted — memory reserved, triggers seeded —
-        // while its placement has room (head-of-line FCFS, exactly like
-        // `mix::schedule_mix`); later arrivals get a QueryStart event at
-        // their instant.
-        for lane_idx in 0..self.lanes.len() {
-            if self.lanes[lane_idx].arrival == SimTime::ZERO {
-                self.admission_queue.push_back(lane_idx);
-            } else {
-                self.calendar.schedule_at(
-                    self.lanes[lane_idx].arrival,
-                    Event::QueryStart { lane: lane_idx },
-                );
-            }
-        }
-        while let Some(lane) = self.try_reserve_head() {
-            self.start_lane(lane);
-        }
-
-        // Kick off every thread at time zero.
-        for node in 0..self.nodes {
-            for thread in 0..self.threads_per_node {
-                self.calendar
-                    .schedule_at(SimTime::ZERO, Event::ThreadReady { node, thread });
-            }
-        }
-
-        // Inject the topology stream: each validated event fires at its
-        // instant. Events past the end of the run are simply never popped.
-        for index in 0..self.topology.len() {
-            let at = SimTime::ZERO + Duration::from_secs_f64(self.topology[index].at_secs);
-            self.calendar.schedule_at(at, Event::Topology { index });
-        }
-
-        // Scans with no local data (or empty relations) can complete right
-        // away; run an initial end check over everything already started.
-        for op in 0..self.ops.len() {
-            for node in 0..self.nodes {
-                self.check_local_end(op, node);
-            }
+            // The slot held a terminated placeholder; it is live now.
+            self.ops_terminated -= 1;
+            self.live_ops.insert(idx);
         }
         Ok(())
+    }
+
+    /// One FP thread allocation of `plan` on a node, drawn from `rng`.
+    fn allocate(&self, plan: &ParallelPlan, rng: &mut StdRng) -> ThreadAssignment {
+        self.strategy
+            .allocate(plan, self.threads_per_node as u32, &self.cost, rng)
+            .unwrap_or_default()
+    }
+
+    /// Adds an allocation of the lane installed at `base` to the allowed
+    /// sets of `node`'s threads.
+    fn allow_lane(&mut self, node: usize, base: usize, assignment: &ThreadAssignment) {
+        for (t, ops) in assignment.iter().enumerate() {
+            let set = self.allowed[node][t]
+                .as_mut()
+                .expect("FP threads carry allowed sets");
+            for o in ops {
+                set.insert(base + o.index());
+            }
+        }
+    }
+
+    /// FP in closed mode: every lane's static allocation goes into the
+    /// allowed sets of its placement nodes' threads (mapped to global
+    /// operator ids and unioned per thread); DP leaves threads
+    /// unconstrained. Under the default `ErrorRealization::Shared` each
+    /// lane's distorted complexity estimates are drawn ONCE and the
+    /// resulting allocation is reused by every node of its placement — the
+    /// paper's reading: the optimizer mis-estimates a cardinality once, not
+    /// once per node. `ErrorRealization::PerNode` keeps the historical
+    /// fresh-draw-per-node behaviour for comparison studies.
+    fn allow_closed_lanes(&mut self) {
+        if !self.strategy.constrains_threads() {
+            return;
+        }
+        let mut fp_rng = rng_from_seed(self.options.seed);
+        let shared: Option<Vec<ThreadAssignment>> =
+            (self.options.fp_realization == ErrorRealization::Shared).then(|| {
+                self.lanes
+                    .iter()
+                    .map(|lane| self.allocate(lane.plan, &mut fp_rng))
+                    .collect()
+            });
+        for node in 0..self.nodes {
+            for lane in 0..self.lanes.len() {
+                // A pinned lane only constrains the threads of its own
+                // placement nodes.
+                if let Some(mask) = &self.lanes[lane].mask {
+                    if !mask.contains(&NodeId::from(node)) {
+                        continue;
+                    }
+                }
+                let fresh;
+                let assignment = match &shared {
+                    Some(assignments) => &assignments[lane],
+                    None => {
+                        fresh = self.allocate(self.lanes[lane].plan, &mut fp_rng);
+                        &fresh
+                    }
+                };
+                self.allow_lane(node, self.lanes[lane].base, assignment);
+            }
+        }
     }
 
     /// Seeds trigger activations for one lane: the scan's partition on each
@@ -1496,9 +1425,18 @@ impl<'a> QueueEngine<'a> {
         ))
     }
 
+    /// How operator slot `op` reads in diagnostics: its lane and plan-local
+    /// index.
+    fn op_label(&self, op: usize) -> String {
+        let lane = self.ops[op].lane;
+        format!("lane {lane} op {}", op - self.lanes[lane].base)
+    }
+
     /// How many in-use operators terminated, then up to
     /// [`STALL_REPORT_OPS`] of the others with their end-detection progress
-    /// and per-home queue state.
+    /// and per-home queue state, then every node's load-balancing episode
+    /// still in flight: a steal request with the replies it has and
+    /// expects, the operators a targeted request asked for, a push probe.
     fn unterminated_summary(&self) -> String {
         let in_use: Vec<usize> = (0..self.ops.len())
             .filter(|&op| self.slot_in_use(op))
@@ -1518,9 +1456,8 @@ impl<'a> QueueEngine<'a> {
             let homes = o.home.len();
             msg += if i == 0 { "; unterminated: " } else { "; " };
             msg += &format!(
-                "lane {} op {} (phase-1 {}/{homes}, phase-2 {}/{homes}",
-                o.lane,
-                op - self.lanes[o.lane].base,
+                "{} (phase-1 {}/{homes}, phase-2 {}/{homes}",
+                self.op_label(op),
                 o.phase1_reports,
                 o.phase2_confirms,
             );
@@ -1539,6 +1476,33 @@ impl<'a> QueueEngine<'a> {
         }
         if stuck.len() > STALL_REPORT_OPS {
             msg += &format!("; and {} more", stuck.len() - STALL_REPORT_OPS);
+        }
+        for (node, lb) in self.node_lb.iter().enumerate() {
+            let mut episodes = Vec::new();
+            if lb.starving_outstanding || !lb.fp_outstanding.is_empty() {
+                episodes.push(format!(
+                    "steal {}/{} replies",
+                    lb.replies_received, lb.replies_expected
+                ));
+            }
+            if !lb.fp_outstanding.is_empty() {
+                let targets: Vec<String> = lb
+                    .fp_outstanding
+                    .iter()
+                    .map(|&op| self.op_label(op))
+                    .collect();
+                episodes.push(format!("targets {}", targets.join(" and ")));
+            }
+            if lb.push_outstanding {
+                episodes.push("push probe".to_string());
+            }
+            if !episodes.is_empty() {
+                msg += &format!(
+                    "; node {node} token {}: {}",
+                    lb.current_token,
+                    episodes.join(", ")
+                );
+            }
         }
         msg
     }
@@ -1663,7 +1627,7 @@ impl<'a> QueueEngine<'a> {
     // ----------------------------------------------------------------- //
 
     fn thread_may_process(&self, node: usize, thread: usize, op: usize) -> bool {
-        match &self.threads[node][thread].allowed {
+        match &self.allowed[node][thread] {
             None => true,
             Some(set) => set.contains(op),
         }
@@ -1697,6 +1661,15 @@ impl<'a> QueueEngine<'a> {
     /// and falls back to any other queue of the node, paying a small
     /// interference penalty. A higher-priority query's work — even on a
     /// non-primary queue — is taken before any lower-priority query's.
+    ///
+    /// Both passes visit the lane's operators in rotated order,
+    /// `base + (thread + shift) % n_ops` for ascending `shift`, and only
+    /// those in the lane's candidate set: operators with work queued on
+    /// this node that the thread's static allocation (if any) permits. The
+    /// set is extracted once per lane, one word per [`WORD_BITS`]
+    /// operators; the walk starts at the rotation offset inside its word,
+    /// runs through the later words, wraps to the first, and ends with the
+    /// bits of the starting word below the offset.
     fn select_work(&mut self, node: usize, thread: usize) -> Option<(usize, Activation, bool)> {
         for li in 0..self.lane_order.len() {
             let lane = self.lane_order[li];
@@ -1707,112 +1680,45 @@ impl<'a> QueueEngine<'a> {
                     && hot.n_ops as usize == self.lanes[lane].n_ops,
                 "lane_hot snapshot drifted from lane state"
             );
-            if !hot.started {
-                continue;
-            }
             let (base, n_ops) = (hot.base as usize, hot.n_ops as usize);
-            if n_ops == 0 {
+            if !hot.started || n_ops == 0 {
                 continue;
             }
-            if n_ops > 64 {
-                // Wide plans fall off the single-word fast path.
-                if let Some(found) = self.select_work_lane_scan(node, thread, base, n_ops) {
-                    return Some(found);
+            let words = n_ops.div_ceil(WORD_BITS);
+            self.cand.clear();
+            let mut any = 0;
+            for w in 0..words {
+                let start = base + w * WORD_BITS;
+                let len = (n_ops - w * WORD_BITS).min(WORD_BITS);
+                let mut word = self.ready[node].extract_range(start, len);
+                if word != 0 {
+                    if let Some(allowed) = &self.allowed[node][thread] {
+                        word &= allowed.extract_range(start, len);
+                    }
                 }
+                any |= word;
+                self.cand.push(word);
+            }
+            if any == 0 {
                 continue;
             }
-            // One word holds the lane's candidate set: operators with work
-            // queued on this node, filtered by the strategy's run-time
-            // work-selection hook (the default intersects the thread's
-            // static allocation, when one exists). The hook works on the
-            // extracted words directly — no policy forces a return to
-            // pointer-chasing. Everything else is never visited.
-            let ready_word = self.ready[node].extract_range(base, n_ops);
-            if ready_word == 0 {
-                continue;
-            }
-            let allowed_word = self.threads[node][thread]
-                .allowed
-                .as_ref()
-                .map(|set| set.extract_range(base, n_ops));
-            let cand = if self.custom_mask {
-                self.strategy.work_mask(ready_word, allowed_word)
-            } else {
-                // The default hook devirtualized: one AND, no dispatch on
-                // the per-lane fast path (`custom_mask` is cached at
-                // construction; `custom_work_mask` tests pin the equality).
-                ready_word & allowed_word.unwrap_or(u64::MAX)
-            };
-            if cand == 0 {
-                continue;
-            }
-            // The loops this replaces visited `base + (thread + shift) %
-            // n_ops` for ascending `shift`; splitting the word at the start
-            // offset and walking each half ascending reproduces that order
-            // exactly.
             let rot = thread % n_ops;
-            let lo_mask = (1u64 << rot) - 1;
-            let parts = [cand & !lo_mask, cand & lo_mask];
+            let (first, below) = (rot / WORD_BITS, (1u64 << (rot % WORD_BITS)) - 1);
             // Pass 1: primary queues (the thread's own queue of every
-            // operator of the lane).
-            for mut m in parts {
-                while m != 0 {
-                    let op = base + m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    if !self.op_consumable(op, node) {
-                        continue;
+            // operator of the lane). Pass 2: any other queue of the node.
+            for primary in [true, false] {
+                for (step, w) in (first..words).chain(0..=first).enumerate() {
+                    let mut m = self.cand[w];
+                    if step == 0 {
+                        m &= !below;
+                    } else if step == words {
+                        m &= below;
                     }
-                    self.deliver_parked(op, node);
-                    let opn = self.op_nodes[op][node].as_mut().expect("home state");
-                    if let Some(act) = opn.dequeue(thread) {
-                        opn.processing += 1;
-                        if opn.queued == 0 {
-                            self.ready[node].remove(op);
-                        }
-                        return Some((op, act, true));
-                    }
-                }
-            }
-            // Pass 2: any other queue of the node, preferring the first
-            // loaded queue after the thread's own (wrap-around order).
-            for mut m in parts {
-                while m != 0 {
-                    let op = base + m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    if !self.op_consumable(op, node) {
-                        continue;
-                    }
-                    let opn = self.op_nodes[op][node].as_mut().expect("home state");
-                    if self.threads_per_node <= 64 {
-                        let qm = opn.nonempty_mask() & !(1u64 << thread);
-                        if qm == 0 {
-                            continue;
-                        }
-                        let after = if thread + 1 >= 64 {
-                            0
-                        } else {
-                            qm & !((1u64 << (thread + 1)) - 1)
-                        };
-                        let q = if after != 0 {
-                            after.trailing_zeros() as usize
-                        } else {
-                            qm.trailing_zeros() as usize
-                        };
-                        let act = opn.dequeue(q).expect("nonempty queue");
-                        opn.processing += 1;
-                        if opn.queued == 0 {
-                            self.ready[node].remove(op);
-                        }
-                        return Some((op, act, false));
-                    }
-                    for offset in 1..self.threads_per_node {
-                        let q = (thread + offset) % self.threads_per_node;
-                        if let Some(act) = opn.dequeue(q) {
-                            opn.processing += 1;
-                            if opn.queued == 0 {
-                                self.ready[node].remove(op);
-                            }
-                            return Some((op, act, false));
+                    while m != 0 {
+                        let op = base + w * WORD_BITS + m.trailing_zeros() as usize;
+                        m &= m - 1;
+                        if let Some(act) = self.take_work(node, thread, op, primary) {
+                            return Some((op, act, primary));
                         }
                     }
                 }
@@ -1821,65 +1727,38 @@ impl<'a> QueueEngine<'a> {
         None
     }
 
-    /// Work selection over one lane whose operator range spans more than one
-    /// mask word: the original rotated linear scan (cold path, plans of more
-    /// than 64 operators).
-    fn select_work_lane_scan(
+    /// Dequeues one activation of candidate `op` for `thread` on `node`:
+    /// from the thread's own queue (`primary`), or else from the first
+    /// loaded queue after it, wrapping around the node's threads.
+    fn take_work(
         &mut self,
         node: usize,
         thread: usize,
-        base: usize,
-        n_ops: usize,
-    ) -> Option<(usize, Activation, bool)> {
-        // Pass 1: primary queues.
-        for shift in 0..n_ops {
-            let op = base + (thread + shift) % n_ops;
-            // Nothing queued or parked: skip without touching the operator
-            // or queue state at all.
-            if !self.ready[node].contains(op) {
-                debug_assert!(
-                    self.op_nodes[op][node]
-                        .as_ref()
-                        .is_none_or(|o| o.queued == 0),
-                    "ready bitset lost a non-empty operator"
-                );
-                continue;
-            }
-            if !self.op_consumable(op, node) || !self.thread_may_process(node, thread, op) {
-                continue;
-            }
+        op: usize,
+        primary: bool,
+    ) -> Option<Activation> {
+        if !self.op_consumable(op, node) {
+            return None;
+        }
+        if primary {
             self.deliver_parked(op, node);
-            let opn = self.op_nodes[op][node].as_mut().expect("home state");
-            if let Some(act) = opn.dequeue(thread) {
-                opn.processing += 1;
-                if opn.queued == 0 {
-                    self.ready[node].remove(op);
-                }
-                return Some((op, act, true));
-            }
         }
-        // Pass 2: any other queue of the node.
-        for shift in 0..n_ops {
-            let op = base + (thread + shift) % n_ops;
-            if !self.ready[node].contains(op) {
-                continue;
-            }
-            if !self.op_consumable(op, node) || !self.thread_may_process(node, thread, op) {
-                continue;
-            }
-            let opn = self.op_nodes[op][node].as_mut().expect("home state");
-            for offset in 1..self.threads_per_node {
-                let q = (thread + offset) % self.threads_per_node;
-                if let Some(act) = opn.dequeue(q) {
-                    opn.processing += 1;
-                    if opn.queued == 0 {
-                        self.ready[node].remove(op);
-                    }
-                    return Some((op, act, false));
-                }
-            }
+        let opn = self.op_nodes[op][node].as_mut().expect("home state");
+        let slot = if primary {
+            thread
+        } else {
+            let loaded = opn.nonempty();
+            loaded
+                .next_from(thread + 1)
+                .or_else(|| loaded.next_from(0))
+                .filter(|&q| q != thread)?
+        };
+        let act = opn.dequeue(slot)?;
+        opn.processing += 1;
+        if opn.queued == 0 {
+            self.ready[node].remove(op);
         }
-        None
+        Some(act)
     }
 
     fn on_thread_ready(&mut self, node: usize, thread: usize) {
@@ -1898,57 +1777,24 @@ impl<'a> QueueEngine<'a> {
         }
     }
 
-    /// Records thread idleness in both the boolean flag and the per-node
-    /// idle bitmask (the mask is the scan structure, the flag the source of
-    /// truth for wide machines).
     fn set_idle(&mut self, node: usize, thread: usize, idle: bool) {
-        self.threads[node][thread].idle = idle;
-        if thread < 64 {
-            let bit = 1u64 << thread;
-            if idle {
-                self.idle_threads[node] |= bit;
-            } else {
-                self.idle_threads[node] &= !bit;
-            }
+        if idle {
+            self.idle_threads[node].insert(thread);
+        } else {
+            self.idle_threads[node].remove(thread);
         }
     }
 
+    /// Wakes the idle threads of `node` (only those allowed to process
+    /// `op_filter`, when given) in ascending thread order.
     fn wake_threads(&mut self, node: usize, op_filter: Option<usize>) {
         if !self.live[node] {
             return;
         }
-        if self.threads_per_node <= 64 {
-            // Fast path: walk the idle bitmask (ascending thread order, the
-            // same order as the boolean scan).
-            let mut mask = self.idle_threads[node];
-            debug_assert!(
-                (0..self.threads_per_node)
-                    .all(|t| self.threads[node][t].idle == ((mask >> t) & 1 == 1)),
-                "idle bitmask drifted from thread flags"
-            );
-            if mask == 0 {
-                return;
-            }
-            let now = self.calendar.now();
-            while mask != 0 {
-                let thread = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                if let Some(op) = op_filter {
-                    if !self.thread_may_process(node, thread, op) {
-                        continue;
-                    }
-                }
-                self.set_idle(node, thread, false);
-                self.calendar
-                    .schedule_at(now, Event::ThreadReady { node, thread });
-            }
-            return;
-        }
         let now = self.calendar.now();
-        for thread in 0..self.threads_per_node {
-            if !self.threads[node][thread].idle {
-                continue;
-            }
+        let mut from = 0;
+        while let Some(thread) = self.idle_threads[node].next_from(from) {
+            from = thread + 1;
             if let Some(op) = op_filter {
                 if !self.thread_may_process(node, thread, op) {
                     continue;
@@ -2008,11 +1854,7 @@ impl<'a> QueueEngine<'a> {
     /// Re-snapshots one lane's hot scheduling fields after a
     /// `started`/`n_ops` mutation (see [`LaneHot`]).
     fn sync_lane_hot(&mut self, lane: usize) {
-        self.lane_hot[lane] = LaneHot {
-            base: self.lanes[lane].base as u32,
-            n_ops: self.lanes[lane].n_ops as u32,
-            started: self.lanes[lane].started,
-        };
+        self.lane_hot[lane] = LaneHot::of(&self.lanes[lane]);
     }
 
     /// Post-admission bookkeeping of a lane admitted mid-run: trivially-done
@@ -2205,85 +2047,20 @@ impl<'a> QueueEngine<'a> {
         for n in 0..self.nodes {
             self.free_mem[n] -= mem_per_node;
         }
-        let n_ops = plan.tree.operators().len();
-        let base = self.lanes[slot].base;
-        let skew = self.lanes[slot].skew;
-        {
-            let lane = &mut self.lanes[slot];
-            lane.plan = plan;
-            lane.arrival = head.arrived_at;
-            lane.priority = head.priority;
-            lane.memory_bytes = memory_bytes;
-            lane.mem_per_node = mem_per_node;
-            lane.reserved = (0..self.nodes).map(|n| (n, mem_per_node)).collect();
-            lane.released = false;
-            lane.n_ops = n_ops;
-            lane.started = true;
-            lane.admitted_at = now;
-            lane.ops_terminated = 0;
-            lane.finished_at = SimTime::ZERO;
-            lane.activations = 0;
-            lane.tuples_processed = 0;
-            lane.result_tuples = 0;
-        }
+        let (base, skew) = (self.lanes[slot].base, self.lanes[slot].skew);
+        self.lanes[slot] = LaneRuntime {
+            arrival: head.arrived_at,
+            priority: head.priority,
+            memory_bytes,
+            mem_per_node,
+            reserved: (0..self.nodes).map(|n| (n, mem_per_node)).collect(),
+            started: true,
+            admitted_at: now,
+            ..LaneRuntime::new(plan, base, plan.tree.operators().len(), skew)
+        };
         self.sync_lane_hot(slot);
-        // Rebuild the slot's operator runtimes (mirrors `initialize`, but in
-        // place over the slot's fixed op range).
-        let joins = plan.tree.joins();
-        for op in plan.tree.operators() {
-            let idx = base + op.id.index();
-            let home: Vec<NodeId> = plan
-                .homes
-                .home(op.id)
-                .nodes()
-                .iter()
-                .copied()
-                .filter(|n| n.index() < self.nodes)
-                .collect();
-            let mut blockers: Vec<OperatorId> = plan.blocked_by(op.id);
-            blockers.sort_unstable();
-            blockers.dedup();
-            let output_ratio = if op.input_tuples == 0 {
-                0.0
-            } else {
-                op.output_tuples as f64 / op.input_tuples as f64
-            };
-            let build_twin = match op.kind {
-                OperatorKind::Probe { join } => joins.get(&join).map(|(b, _)| base + b.index()),
-                _ => None,
-            };
-            let slots = home.len() * self.threads_per_node;
-            let mut per_node: Vec<Option<OpNodeRuntime>> = (0..self.nodes).map(|_| None).collect();
-            for node in &home {
-                per_node[node.index()] = Some(OpNodeRuntime::new(
-                    self.threads_per_node,
-                    self.options.flow.queue_capacity,
-                ));
-            }
-            self.ops[idx] = OpRuntime {
-                lane: slot,
-                kind: op.kind,
-                consumer: op.consumer.map(|c| base + c.index()),
-                home,
-                output_ratio,
-                blockers_remaining: blockers.len(),
-                terminated: false,
-                router: OutputRouter::new(slots, skew, idx),
-                input_sent: 0,
-                input_delivered: 0,
-                input_processed: 0,
-                phase1_reports: 0,
-                phase2_started: false,
-                phase2_confirms: 0,
-                build_twin,
-                producers: Self::global_producers(plan, base, op.id),
-            };
-            self.op_nodes[idx] = per_node;
-            // The slot's ops were counted terminated (placeholder or
-            // retired); they are live again.
-            self.ops_terminated -= 1;
-            self.live_ops.insert(idx);
-        }
+        self.install_lane(slot)
+            .expect("open templates are validated at construction");
         // FP: one fresh allocation per admission (the optimizer
         // mis-estimates each arriving query once), inserted into every
         // node's thread sets; retirement removes it again.
@@ -2292,21 +2069,10 @@ impl<'a> QueueEngine<'a> {
                 &mut self.open.as_mut().expect("open mode").fp_rng,
                 rng_from_seed(0),
             );
-            let assignment = self
-                .strategy
-                .allocate(plan, self.threads_per_node as u32, &self.cost, &mut fp_rng)
-                .unwrap_or_default();
+            let assignment = self.allocate(plan, &mut fp_rng);
             self.open.as_mut().expect("open mode").fp_rng = fp_rng;
             for node in 0..self.nodes {
-                for (t, ops) in assignment.iter().enumerate() {
-                    let set = self.threads[node][t]
-                        .allowed
-                        .as_mut()
-                        .expect("FP threads carry allowed sets");
-                    for o in ops {
-                        set.insert(base + o.index());
-                    }
-                }
+                self.allow_lane(node, base, &assignment);
             }
         }
         // Re-derive the scheduling order: priority descending, admission
@@ -2348,7 +2114,7 @@ impl<'a> QueueEngine<'a> {
             // Invalidate steal episodes still referencing the retired op.
             self.epochs[idx] += 1;
             self.ops[idx] = Self::placeholder_op(lane_idx);
-            self.op_nodes[idx] = (0..self.nodes).map(|_| None).collect();
+            self.op_nodes[idx].fill_with(|| None);
             for node in 0..self.nodes {
                 self.ready[node].remove(idx);
             }
@@ -2356,7 +2122,7 @@ impl<'a> QueueEngine<'a> {
         if self.strategy.constrains_threads() {
             for node in 0..self.nodes {
                 for t in 0..self.threads_per_node {
-                    if let Some(set) = &mut self.threads[node][t].allowed {
+                    if let Some(set) = &mut self.allowed[node][t] {
                         for idx in base..base + n_ops {
                             set.remove(idx);
                         }
@@ -2962,7 +2728,7 @@ impl<'a> QueueEngine<'a> {
                 }
                 // Find-then-act: the scan only reads, so it can walk the
                 // thread's allowed set in place (no per-episode collection).
-                let chosen = self.threads[node][thread].allowed.as_ref().and_then(|set| {
+                let chosen = self.allowed[node][thread].as_ref().and_then(|set| {
                     set.iter().find(|&op| {
                         self.ops[op].kind.is_probe()
                             && self.lanes[self.ops[op].lane].started
@@ -3629,7 +3395,7 @@ impl<'a> QueueEngine<'a> {
                 // this node).
                 if self.strategy.constrains_threads() {
                     for thread in 0..self.threads_per_node {
-                        if let Some(set) = &mut self.threads[m][thread].allowed {
+                        if let Some(set) = &mut self.allowed[m][thread] {
                             set.insert(op);
                         }
                     }
@@ -3899,7 +3665,19 @@ pub fn execute(
     options: &ExecOptions,
 ) -> Result<ExecutionReport> {
     if strategy.queue_based() {
-        QueueEngine::new(plan, *config, strategy, *options)?.run()
+        let queries = [CoSimQuery {
+            plan,
+            arrival_secs: 0.0,
+            priority: 1,
+            skew: options.skew,
+            mask: None,
+            memory_bytes: 0,
+        }];
+        let source = LaneSource::Closed {
+            queries: &queries,
+            topology: &[],
+        };
+        QueueEngine::new(source, *config, strategy, *options)?.run()
     } else {
         crate::sp::execute_sp(plan, config, options)
     }
@@ -3957,7 +3735,8 @@ pub fn execute_cosimulated_faulted(
              SP has no activation queues to interleave",
         ));
     }
-    QueueEngine::new_cosim(queries, *config, strategy, *options, topology)?.run_cosim()
+    let source = LaneSource::Closed { queries, topology };
+    QueueEngine::new(source, *config, strategy, *options)?.run_cosim()
 }
 
 /// Runs the co-simulated engine as an **open system**: queries arrive over a
@@ -3998,7 +3777,7 @@ pub fn execute_open(
              SP has no activation queues to interleave",
         ));
     }
-    QueueEngine::new_open(traffic, *config, strategy, *options)?.run_open()
+    QueueEngine::new(LaneSource::Open(traffic), *config, strategy, *options)?.run_open()
 }
 
 #[cfg(test)]
@@ -4050,6 +3829,20 @@ mod tests {
             mask: None,
             memory_bytes: 0,
         }
+    }
+
+    /// A closed engine over `plan` alone, built as [`execute`] builds it.
+    fn closed_engine(
+        plan: &ParallelPlan,
+        config: SystemConfig,
+        strategy: Strategy,
+    ) -> QueueEngine<'_> {
+        let queries = [solo(plan, 0.0, 1, 0.0)];
+        let source = LaneSource::Closed {
+            queries: &queries,
+            topology: &[],
+        };
+        QueueEngine::new(source, config, strategy, ExecOptions::default()).unwrap()
     }
 
     #[test]
@@ -4880,8 +4673,13 @@ mod tests {
             concurrency,
             frontend: FrontendConfig::default(),
         };
-        let mut engine =
-            QueueEngine::new_open(&traffic, config, Strategy::dynamic(), opts).unwrap();
+        let mut engine = QueueEngine::new(
+            LaneSource::Open(&traffic),
+            config,
+            Strategy::dynamic(),
+            opts,
+        )
+        .unwrap();
         // Op state is O(concurrency × max_ops) by construction, not O(total).
         assert_eq!(engine.ops.len(), concurrency * 4);
         engine.run_loop().unwrap();
@@ -5169,8 +4967,7 @@ mod tests {
     fn installed_producers_match_the_plan() {
         let plan = bushy_plan(2);
         let config = SystemConfig::hierarchical(2, 4);
-        let engine =
-            QueueEngine::new(&plan, config, Strategy::dynamic(), ExecOptions::default()).unwrap();
+        let engine = closed_engine(&plan, config, Strategy::dynamic());
         assert!(engine.ops.iter().any(|o| !o.producers.is_empty()));
         assert_producers_match_plan(&engine);
 
@@ -5186,8 +4983,8 @@ mod tests {
             concurrency: 1,
             frontend: FrontendConfig::default(),
         };
-        let mut engine = QueueEngine::new_open(
-            &traffic,
+        let mut engine = QueueEngine::new(
+            LaneSource::Open(&traffic),
             config,
             Strategy::dynamic(),
             ExecOptions::default(),
@@ -5209,8 +5006,7 @@ mod tests {
     fn stall_error_lists_the_unterminated_operators() {
         let plan = bushy_plan(2);
         let config = SystemConfig::hierarchical(2, 4);
-        let mut engine =
-            QueueEngine::new(&plan, config, Strategy::dynamic(), ExecOptions::default()).unwrap();
+        let mut engine = closed_engine(&plan, config, Strategy::dynamic());
         // Drop every scheduled event: the seeded triggers stay queued and
         // nothing can ever run them.
         while engine.calendar.pop().is_some() {}
@@ -5239,14 +5035,38 @@ mod tests {
             msg.contains(&format!("node 1: {queued} queued 0 parked 0 processing)")),
             "{msg}"
         );
+        assert!(!msg.contains(" token "), "no episode is in flight: {msg}");
+
+        // A steal request still collecting its replies is listed with its
+        // node, token and reply count.
+        let mut engine = closed_engine(&plan, config, Strategy::dynamic());
+        while !engine.node_lb.iter().any(|lb| lb.starving_outstanding) {
+            let (_, event) = engine.calendar.pop().expect("a node starves mid-run");
+            engine.dispatch(event).unwrap();
+        }
+        while engine.calendar.pop().is_some() {}
+        let msg = engine.run_loop().unwrap_err().to_string();
+        let (node, lb) = engine
+            .node_lb
+            .iter()
+            .enumerate()
+            .find(|(_, lb)| lb.starving_outstanding)
+            .unwrap();
+        assert!(lb.replies_received < lb.replies_expected);
+        assert!(
+            msg.contains(&format!(
+                "; node {node} token {}: steal {}/{} replies",
+                lb.current_token, lb.replies_received, lb.replies_expected
+            )),
+            "{msg}"
+        );
     }
 
     #[test]
     fn budget_error_reports_progress_and_the_unterminated_operators() {
         let plan = bushy_plan(2);
         let config = SystemConfig::hierarchical(2, 4);
-        let mut engine =
-            QueueEngine::new(&plan, config, Strategy::dynamic(), ExecOptions::default()).unwrap();
+        let mut engine = closed_engine(&plan, config, Strategy::dynamic());
         for _ in 0..200 {
             let (_, event) = engine.calendar.pop().unwrap();
             engine.dispatch(event).unwrap();
@@ -5273,6 +5093,35 @@ mod tests {
             .stall_error()
             .to_string()
             .ends_with(&engine.unterminated_summary()));
+
+        // Episodes in flight close the summary: an FP request names the
+        // operators it targets, a Threshold push probe is flagged.
+        for (strategy, episode) in [
+            (Strategy::fixed(0.0), "targets lane 0 op "),
+            (Strategy::threshold(100.0, 10.0), "push probe"),
+        ] {
+            let mut engine = closed_engine(&plan, config, strategy);
+            while !engine
+                .node_lb
+                .iter()
+                .any(|lb| !lb.fp_outstanding.is_empty() || lb.push_outstanding)
+            {
+                let (_, event) = engine.calendar.pop().expect("an episode starts mid-run");
+                engine.dispatch(event).unwrap();
+            }
+            let msg = engine.budget_error().to_string();
+            let (node, lb) = engine
+                .node_lb
+                .iter()
+                .enumerate()
+                .find(|(_, lb)| !lb.fp_outstanding.is_empty() || lb.push_outstanding)
+                .unwrap();
+            assert!(
+                msg.contains(&format!("; node {node} token {}: ", lb.current_token)),
+                "{msg}"
+            );
+            assert!(msg.contains(episode), "{msg}");
+        }
     }
 
     #[test]
@@ -5285,8 +5134,8 @@ mod tests {
             concurrency: 4,
             frontend: FrontendConfig::default(),
         };
-        let mut engine = QueueEngine::new_open(
-            &traffic,
+        let mut engine = QueueEngine::new(
+            LaneSource::Open(&traffic),
             config,
             Strategy::dynamic(),
             ExecOptions::default(),

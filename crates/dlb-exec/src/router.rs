@@ -35,6 +35,17 @@ pub struct OutputRouter {
 }
 
 impl OutputRouter {
+    /// A router over no slots, for operator slots that never emit output
+    /// (routing through it panics). Allocates nothing.
+    pub(crate) fn empty() -> Self {
+        Self {
+            weights: Vec::new(),
+            assigned: Vec::new(),
+            total: 0,
+            winners: Vec::new(),
+        }
+    }
+
     /// Creates a router over `slots` destination slots with skew `theta`.
     ///
     /// To avoid a systematic bias where slot 0 of every operator is the hot

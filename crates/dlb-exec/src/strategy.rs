@@ -8,13 +8,9 @@
 //!   [`Policy::allocate`]) — how a node's threads are statically assigned to
 //!   operators before execution, with access to the (possibly distorted) cost
 //!   model. FP lives here; DP returns `None` (any thread, any operator).
-//! * a **run-time balancing hook** ([`Policy::work_mask`],
-//!   [`Policy::starving_scope`], [`Policy::steal_provider`],
-//!   [`Policy::push_config`], …) — work selection and steal/push decisions,
-//!   consulted from the batched event loop. [`Policy::work_mask`] operates
-//!   directly on the bitset words the selection path extracts from
-//!   `LaneHot`-indexed ready sets, so a policy never forces the engine back to
-//!   pointer-chasing.
+//! * a **run-time balancing hook** ([`Policy::starving_scope`],
+//!   [`Policy::steal_provider`], [`Policy::push_config`], …) — steal and
+//!   push decisions, consulted from the batched event loop.
 //!
 //! A [`Strategy`] value is a `Copy` handle pairing a `&'static dyn Policy`
 //! with its parameter vector — cheap to pass around, comparable, and
@@ -115,29 +111,6 @@ pub trait Policy: Sync {
     /// shared-memory node only).
     fn queue_based(&self) -> bool {
         true
-    }
-
-    /// Run-time work-selection mask: given the 64-bit window of ready
-    /// operator queues a thread extracted from its lane (`ready`), and the
-    /// matching window of its static allocation when one exists (`allowed`),
-    /// returns the candidate set the thread may dequeue from. The default
-    /// intersects the two; policies may reorder-free filter further but must
-    /// return a subset of `ready`.
-    fn work_mask(&self, ready: u64, allowed: Option<u64>) -> u64 {
-        match allowed {
-            Some(a) => ready & a,
-            None => ready,
-        }
-    }
-
-    /// Whether this policy overrides [`Policy::work_mask`]. The engine
-    /// caches this at construction and keeps the default intersection
-    /// *inline* in the per-lane selection fast path — the refactor's trait
-    /// indirection never reaches the hottest loop. A policy that overrides
-    /// `work_mask` must return `true` here to be consulted there (the
-    /// registry tests pin non-custom policies to the default's output).
-    fn custom_work_mask(&self) -> bool {
-        false
     }
 
     /// What a fully starving node does (see [`StealScope`]).
@@ -345,17 +318,6 @@ impl Strategy {
     /// See [`Policy::queue_based`].
     pub fn queue_based(&self) -> bool {
         self.policy.queue_based()
-    }
-
-    /// See [`Policy::work_mask`].
-    #[inline]
-    pub fn work_mask(&self, ready: u64, allowed: Option<u64>) -> u64 {
-        self.policy.work_mask(ready, allowed)
-    }
-
-    /// See [`Policy::custom_work_mask`].
-    pub fn custom_work_mask(&self) -> bool {
-        self.policy.custom_work_mask()
     }
 
     /// See [`Policy::starving_scope`].
@@ -626,39 +588,6 @@ mod tests {
         assert_eq!(fp.param("error_rate"), Some(0.4));
         let dp = Strategy::dynamic().with_param("error_rate", 0.4);
         assert_eq!(dp, Strategy::dynamic());
-    }
-
-    #[test]
-    fn default_work_mask_intersects_allowed() {
-        let dp = Strategy::dynamic();
-        assert_eq!(dp.work_mask(0b1011, None), 0b1011);
-        let fp = Strategy::fixed(0.0);
-        assert_eq!(fp.work_mask(0b1011, Some(0b0110)), 0b0010);
-    }
-
-    /// The engine devirtualizes the default `work_mask` behind the cached
-    /// `custom_work_mask` flag; a registered policy that overrides the mask
-    /// without raising the flag would silently run the default in the fast
-    /// path. Pin the equivalence on sampled words for every non-custom
-    /// policy.
-    #[test]
-    fn non_custom_policies_match_the_default_work_mask() {
-        let samples = [0u64, 1, 0b1011, 0xDEAD_BEEF, u64::MAX, 1 << 63];
-        for policy in policies() {
-            if policy.custom_work_mask() {
-                continue;
-            }
-            for &ready in &samples {
-                for allowed in [None, Some(0u64), Some(0b0110), Some(u64::MAX)] {
-                    assert_eq!(
-                        policy.work_mask(ready, allowed),
-                        ready & allowed.unwrap_or(u64::MAX),
-                        "{} diverges from the default work mask it claims to use",
-                        policy.name()
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -473,26 +473,62 @@ mod tests {
 
     #[test]
     fn worker_panic_stops_siblings_and_propagates() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::cell::RefCell;
+        use std::sync::{Arc, Condvar, Mutex};
+
+        /// Opens the latch when dropped.
+        struct OpenOnDrop(Arc<(Mutex<bool>, Condvar)>);
+        impl Drop for OpenOnDrop {
+            fn drop(&mut self) {
+                let (open, changed) = &*self.0;
+                *open.lock().unwrap_or_else(|e| e.into_inner()) = true;
+                changed.notify_all();
+            }
+        }
+        thread_local! {
+            static ON_EXIT: RefCell<Option<OpenOnDrop>> = const { RefCell::new(None) };
+        }
+
+        // Item 0 panics; every other item blocks on a latch that opens only
+        // when the panicking worker's thread exits, which is after its
+        // unwind raised the stop flag. So each sibling finishes at most the
+        // one item it holds, and nobody drains the input, however the
+        // threads are scheduled.
+        let latch = Arc::new((Mutex::new(false), Condvar::new()));
         let items: Vec<usize> = (0..10_000).collect();
-        let computed = AtomicUsize::new(0);
+        let computed = Mutex::new(Vec::new());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _: Vec<usize> = items
                 .par_iter()
                 .map(|&x| {
-                    computed.fetch_add(1, Ordering::Relaxed);
+                    computed
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .push(std::thread::current().id());
                     if x == 0 {
+                        ON_EXIT.with(|slot| *slot.borrow_mut() = Some(OpenOnDrop(latch.clone())));
                         panic!("worker down");
+                    }
+                    let (open, changed) = &*latch;
+                    let mut open = open.lock().unwrap_or_else(|e| e.into_inner());
+                    while !*open {
+                        open = changed.wait(open).unwrap_or_else(|e| e.into_inner());
                     }
                     x
                 })
                 .collect();
         }));
         assert!(result.is_err(), "worker panic must propagate to the caller");
-        assert!(
-            computed.load(Ordering::Relaxed) < 5_000,
-            "panic did not stop siblings: {} items computed",
-            computed.load(Ordering::Relaxed)
+        let computed = computed.into_inner().unwrap_or_else(|e| e.into_inner());
+        let mut threads = computed.clone();
+        threads.sort_unstable_by_key(|id| format!("{id:?}"));
+        threads.dedup();
+        assert_eq!(
+            computed.len(),
+            threads.len(),
+            "panic did not stop siblings: {} items computed on {} threads",
+            computed.len(),
+            threads.len()
         );
     }
 
