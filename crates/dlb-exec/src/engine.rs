@@ -713,9 +713,6 @@ pub(crate) struct QueueEngine<'a> {
     ready: Vec<BitSet>,
     /// Per-node set of idle threads, so wake scans walk set bits only.
     idle_threads: Vec<BitSet>,
-    /// Scratch for [`Self::select_work`]: the candidate words of the lane
-    /// being scanned, one per [`WORD_BITS`] operators.
-    cand: Vec<u64>,
     op_nodes: Vec<Vec<Option<OpNodeRuntime>>>,
     /// FP only: per node and thread, the global operator indices the
     /// thread's static allocation permits (`None` = unconstrained), as
@@ -828,7 +825,6 @@ impl<'a> QueueEngine<'a> {
             idle_threads: (0..nodes)
                 .map(|_| BitSet::with_capacity(threads_per_node))
                 .collect(),
-            cand: Vec::new(),
             op_nodes: (0..op_slots)
                 .map(|_| (0..nodes).map(|_| None).collect())
                 .collect(),
@@ -1664,9 +1660,10 @@ impl<'a> QueueEngine<'a> {
     /// Both passes visit the lane's operators in rotated order,
     /// `base + (thread + shift) % n_ops` for ascending `shift`, and only
     /// those in the lane's candidate set: operators with work queued on
-    /// this node that the thread's static allocation (if any) permits. The
-    /// set is extracted once per lane, one word per [`WORD_BITS`]
-    /// operators; the walk starts at the rotation offset inside its word,
+    /// this node that the thread's static allocation (if any) permits, read
+    /// one word per [`WORD_BITS`] operators. A lane with nothing queued on
+    /// the node is skipped before any of that. The walk starts at the
+    /// rotation offset inside its word,
     /// runs through the later words, wraps to the first, and ends with the
     /// bits of the starting word below the offset.
     fn select_work(&mut self, node: usize, thread: usize) -> Option<(usize, Activation, bool)> {
@@ -1684,30 +1681,24 @@ impl<'a> QueueEngine<'a> {
                 continue;
             }
             let words = n_ops.div_ceil(WORD_BITS);
-            self.cand.clear();
-            let mut any = 0;
-            for w in 0..words {
-                let start = base + w * WORD_BITS;
-                let len = (n_ops - w * WORD_BITS).min(WORD_BITS);
-                let mut word = self.ready[node].extract_range(start, len);
-                if word != 0 {
-                    if let Some(allowed) = &self.allowed[node][thread] {
-                        word &= allowed.extract_range(start, len);
-                    }
-                }
-                any |= word;
-                self.cand.push(word);
-            }
-            if any == 0 {
+            let width = |w: usize| (n_ops - w * WORD_BITS).min(WORD_BITS);
+            if (0..words)
+                .all(|w| self.ready[node].extract_range(base + w * WORD_BITS, width(w)) == 0)
+            {
                 continue;
             }
             let rot = thread % n_ops;
             let (first, below) = (rot / WORD_BITS, (1u64 << (rot % WORD_BITS)) - 1);
+            let head = self.candidates(node, thread, base, n_ops, first);
             // Pass 1: primary queues (the thread's own queue of every
             // operator of the lane). Pass 2: any other queue of the node.
             for primary in [true, false] {
                 for (step, w) in (first..words).chain(0..=first).enumerate() {
-                    let mut m = self.cand[w];
+                    let mut m = if w == first {
+                        head
+                    } else {
+                        self.candidates(node, thread, base, n_ops, w)
+                    };
                     if step == 0 {
                         m &= !below;
                     } else if step == words {
@@ -1724,6 +1715,20 @@ impl<'a> QueueEngine<'a> {
             }
         }
         None
+    }
+
+    /// Word `w` of the candidate set of the lane at `base`: bit `j` is set
+    /// when operator `base + w * WORD_BITS + j` has work queued on `node`
+    /// that `thread` may run. Neither pass of [`Self::select_work`] changes
+    /// which operators are ready, so both read the same words.
+    fn candidates(&self, node: usize, thread: usize, base: usize, n_ops: usize, w: usize) -> u64 {
+        let start = base + w * WORD_BITS;
+        let len = (n_ops - w * WORD_BITS).min(WORD_BITS);
+        let ready = self.ready[node].extract_range(start, len);
+        match &self.allowed[node][thread] {
+            Some(allowed) if ready != 0 => ready & allowed.extract_range(start, len),
+            _ => ready,
+        }
     }
 
     /// Dequeues one activation of candidate `op` for `thread` on `node`:
