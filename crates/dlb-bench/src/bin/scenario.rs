@@ -23,8 +23,9 @@
 //! The usual workload knobs apply (`--paper`, `HIERDB_QUERIES`,
 //! `HIERDB_RELATIONS`, `HIERDB_SCALE`, `HIERDB_SEED`, `HIERDB_THREADS`).
 //! Bundled specs carry the harness default workload, so the environment
-//! overrides behave exactly as for the figure binaries; spec files keep
-//! their own workload except for knobs explicitly set.
+//! overrides behave exactly as for `all_figures`; spec files keep their own
+//! workload except for knobs explicitly set. A workload knob whose value
+//! does not parse exits with status 2.
 
 use dlb_bench::WorkloadOverrides;
 use dlb_core::scenario::{self, ScenarioSpec};
@@ -193,7 +194,10 @@ fn main() {
         usage();
     }
 
-    let overrides = WorkloadOverrides::from_env();
+    let overrides = WorkloadOverrides::from_env().unwrap_or_else(|e| {
+        eprintln!("scenario: {e}");
+        std::process::exit(2);
+    });
     if let Some(dir) = &out_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create --out-dir {dir}: {e}");

@@ -1,14 +1,13 @@
 //! # dlb-bench
 //!
-//! Benchmark harnesses that regenerate every table and figure of the paper's
-//! evaluation (§5), plus Criterion micro-benchmarks of the engine internals.
+//! Binaries that regenerate every table and figure of the paper's
+//! evaluation (§5), plus a Criterion micro-benchmark of the simulator
+//! substrate (`benches/simulator.rs`).
 //!
 //! Every figure is a [`dlb_core::scenario::ScenarioSpec`] bundled in the
-//! scenario registry; the per-figure binaries (see `src/bin/`) are thin
-//! lookups that run their spec and print its text rendering, `all_figures`
-//! runs the whole registry in sequence, and the `scenario` binary runs any
-//! registered name — or a user-authored JSON spec file — with text, JSON or
-//! CSV output:
+//! scenario registry. `all_figures` runs the figures in sequence, and the
+//! `scenario` binary runs any registered name — or a user-authored JSON spec
+//! file — with text, JSON or CSV output:
 //!
 //! ```text
 //! cargo run --release -p dlb-bench --bin scenario -- --list
@@ -16,9 +15,9 @@
 //! cargo run --release -p dlb-bench --bin scenario -- --spec my_sweep.json --format csv
 //! ```
 //!
-//! The harness defaults to a reduced workload so that a full run completes
-//! in minutes on a laptop; set the environment variables below (or pass
-//! `--paper`) to approach the paper's scale:
+//! The bundled specs default to a reduced workload so that a full run
+//! completes in minutes on a laptop; set the environment variables below (or
+//! pass `--paper`) to approach the paper's scale:
 //!
 //! | variable | default | paper |
 //! |---|---|---|
@@ -28,148 +27,40 @@
 //! | `HIERDB_SEED` | 0xD1B1996 | — |
 //! | `HIERDB_THREADS` | all cores | — |
 //!
+//! A workload variable whose value does not parse is an error, on which
+//! `scenario` and `all_figures` exit with status 2; an unparseable
+//! `HIERDB_THREADS` falls back to all cores with a warning.
+//!
 //! ## Parallel execution
 //!
 //! Every plan execution is an independent seeded simulation, so the harness
-//! is parallel at two levels: [`Experiment::run`] fans the plans of a
-//! workload out across worker threads, and the scenario driver computes the
-//! sweep points of a figure (skew values, processor counts, error rates)
+//! is parallel at two levels: [`dlb_core::Experiment::run`] fans the plans
+//! of a workload out across worker threads, and the scenario driver computes
+//! the sweep points of a figure (skew values, processor counts, error rates)
 //! concurrently, all sharing one workspace-level run cache. Results are
 //! gathered in deterministic order, so figure output is **bit-identical**
 //! whatever the thread count. `HIERDB_THREADS` pins the worker count (e.g.
-//! `HIERDB_THREADS=1` forces sequential execution for baseline timings).
+//! `HIERDB_THREADS=1` forces sequential execution).
 //!
-//! The `bench_report` binary times a registered scenario's base
-//! configuration sequentially and in parallel for each strategy and prints
-//! machine-readable JSON — the perf-tracking record for the engine across
-//! PRs:
-//!
-//! ```text
-//! cargo run --release -p dlb-bench --bin bench_report            # paper-base
-//! cargo run --release -p dlb-bench --bin bench_report -- fig10
-//! ```
-//!
-//! `EXPERIMENTS.md` at the workspace root records a reference run next to
-//! the paper's numbers, and documents the JSON spec-file format.
+//! Performance is measured by the repository benchmark under `bench/` (see
+//! its README), not by this crate. `EXPERIMENTS.md` at the workspace root
+//! records reference runs next to the paper's numbers, and documents the
+//! JSON spec-file format.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod gate;
-
+use dlb_common::{DlbError, Result};
 use dlb_core::scenario::{self, ScenarioSpec, WorkloadSpec};
-use dlb_core::{
-    CpuParams, DiskParams, Experiment, HierarchicalSystem, NetworkParams, WorkloadParams,
-};
+use dlb_core::{CpuParams, DiskParams, NetworkParams};
 
-pub use dlb_core::scenario::fmt_ratio;
-
-/// Configuration of the figure harness, read from the environment.
-#[derive(Debug, Clone, Copy)]
-pub struct HarnessConfig {
-    /// Number of generated queries.
-    pub queries: usize,
-    /// Relations per query.
-    pub relations: usize,
-    /// Cardinality scale factor (1.0 = paper scale).
-    pub scale: f64,
-    /// Workload seed.
-    pub seed: u64,
-}
-
-impl Default for HarnessConfig {
-    fn default() -> Self {
-        // The harness defaults ARE the bundled specs' default workload; keep
-        // the two in sync by construction.
-        match WorkloadSpec::default() {
-            WorkloadSpec::Generated {
-                queries,
-                relations,
-                scale,
-                seed,
-            } => Self {
-                queries,
-                relations,
-                scale,
-                seed,
-            },
-            other => unreachable!("default workload spec is generated, got {other:?}"),
-        }
-    }
-}
-
-impl HarnessConfig {
-    /// Reads the configuration from the environment and the command line
-    /// (`--paper` selects the paper-scale workload). Also applies the
-    /// `HIERDB_THREADS` worker-count knob.
-    pub fn from_env() -> Self {
-        dlb_core::init_threads_from_env();
-        let mut cfg = Self::default();
-        if std::env::args().any(|a| a == "--paper") {
-            cfg.queries = 20;
-            cfg.relations = 12;
-            cfg.scale = 1.0;
-        }
-        if let Some(v) = read_env_usize("HIERDB_QUERIES") {
-            cfg.queries = v;
-        }
-        if let Some(v) = read_env_usize("HIERDB_RELATIONS") {
-            cfg.relations = v;
-        }
-        if let Some(v) = read_env_f64("HIERDB_SCALE") {
-            cfg.scale = v;
-        }
-        if let Some(v) = read_env_u64("HIERDB_SEED") {
-            cfg.seed = v;
-        }
-        cfg
-    }
-
-    /// Applies this workload configuration to a scenario spec (chain
-    /// workloads are left untouched).
-    pub fn apply(&self, spec: ScenarioSpec) -> ScenarioSpec {
-        spec.with_generated_workload(self.queries, self.relations, self.scale, self.seed)
-    }
-
-    /// The workload parameters corresponding to this configuration.
-    pub fn workload(&self) -> WorkloadParams {
-        WorkloadParams {
-            queries: self.queries,
-            relations_per_query: self.relations,
-            scale: self.scale,
-            skew: 0.0,
-            seed: self.seed,
-        }
-    }
-
-    /// Builds an experiment (workload compiled for `system`).
-    pub fn experiment(&self, system: HierarchicalSystem) -> Experiment {
-        Experiment::builder()
-            .system(system)
-            .workload(self.workload())
-            .build()
-            .expect("workload generation cannot fail with valid parameters")
-    }
-
-    /// Prints the harness banner for a figure binary.
-    pub fn banner(&self, figure: &str, description: &str) {
-        println!("================================================================");
-        println!("{figure} — {description}");
-        println!(
-            "workload: {} queries x {} relations, scale {}, seed {:#x}",
-            self.queries, self.relations, self.scale, self.seed
-        );
-        println!("================================================================");
-    }
-}
-
-/// Runs the registered scenario `name` under this harness workload and
-/// returns its text rendering. Panics on unknown names — the figure binaries
-/// only pass bundled names.
-pub fn figure_output(name: &str, cfg: &HarnessConfig) -> String {
+/// Runs the registered scenario `name` under the workload overrides and
+/// returns its text rendering. Panics on unknown names — `all_figures` only
+/// passes bundled names.
+pub fn figure_output(name: &str, overrides: &WorkloadOverrides) -> String {
     let spec = scenario::find(name)
         .unwrap_or_else(|| panic!("scenario {name:?} is not in the bundled registry"));
-    let report = scenario::run_scenario(&cfg.apply(spec))
+    let report = scenario::run_scenario(&overrides.apply(spec))
         .unwrap_or_else(|e| panic!("scenario {name} failed: {e}"));
     scenario::render_text(&report)
 }
@@ -191,15 +82,35 @@ pub struct WorkloadOverrides {
 
 impl WorkloadOverrides {
     /// Collects the overrides present on the command line and in the
-    /// environment.
-    pub fn from_env() -> Self {
+    /// environment. A set variable whose value does not parse is an error
+    /// naming the variable and the value.
+    pub fn from_env() -> Result<Self> {
         let paper = std::env::args().any(|a| a == "--paper");
-        Self {
-            queries: read_env_usize("HIERDB_QUERIES").or(paper.then_some(20)),
-            relations: read_env_usize("HIERDB_RELATIONS").or(paper.then_some(12)),
-            scale: read_env_f64("HIERDB_SCALE").or(paper.then_some(1.0)),
-            seed: read_env_u64("HIERDB_SEED"),
+        Self::from_lookup(paper, |name| {
+            std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
+        })
+    }
+
+    /// [`WorkloadOverrides::from_env`] over an arbitrary variable lookup.
+    fn from_lookup(paper: bool, lookup: impl Fn(&str) -> Option<String>) -> Result<Self> {
+        fn parse<T: std::str::FromStr>(
+            lookup: &impl Fn(&str) -> Option<String>,
+            name: &str,
+        ) -> Result<Option<T>> {
+            lookup(name)
+                .map(|value| {
+                    value
+                        .parse()
+                        .map_err(|_| DlbError::config(format!("{name}={value:?} does not parse")))
+                })
+                .transpose()
         }
+        Ok(Self {
+            queries: parse(&lookup, "HIERDB_QUERIES")?.or(paper.then_some(20)),
+            relations: parse(&lookup, "HIERDB_RELATIONS")?.or(paper.then_some(12)),
+            scale: parse(&lookup, "HIERDB_SCALE")?.or(paper.then_some(1.0)),
+            seed: parse(&lookup, "HIERDB_SEED")?,
+        })
     }
 
     /// Applies the set overrides onto a spec's generated workload — plain,
@@ -308,94 +219,9 @@ pub fn params_table() -> String {
     out
 }
 
-fn read_env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.parse().ok()
-}
-
-fn read_env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.parse().ok()
-}
-
-fn read_env_f64(name: &str) -> Option<f64> {
-    std::env::var(name).ok()?.parse().ok()
-}
-
-/// Computes the sweep points of a figure concurrently, returning results in
-/// point order so that printing stays deterministic. Each point typically
-/// calls [`Experiment::run`], which itself fans plans out; the two levels
-/// claim threads from one shared worker budget (once the point level has
-/// claimed it, inner plan fan-outs degrade to inline execution), so nesting
-/// approximately respects `HIERDB_THREADS` instead of multiplying it.
-pub fn par_points<T, U, F>(points: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    use rayon::prelude::*;
-    points.par_iter().map(f).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_configuration_is_reduced_scale() {
-        let c = HarnessConfig::default();
-        assert!(c.scale < 1.0);
-        assert!(c.queries < 20);
-        let w = c.workload();
-        assert_eq!(w.queries, c.queries);
-        assert_eq!(w.relations_per_query, c.relations);
-    }
-
-    #[test]
-    fn experiment_builds_from_config() {
-        let c = HarnessConfig {
-            queries: 1,
-            relations: 3,
-            scale: 0.002,
-            seed: 1,
-        };
-        let exp = c.experiment(HierarchicalSystem::shared_memory(2));
-        assert!(!exp.workload().is_empty());
-    }
-
-    #[test]
-    fn ratio_formatting() {
-        assert_eq!(fmt_ratio(f64::NAN), "   n/a");
-        assert_eq!(fmt_ratio(1.25), " 1.250");
-    }
-
-    #[test]
-    fn par_points_preserves_point_order() {
-        let points: Vec<u32> = (0..32).collect();
-        let out = par_points(&points, |p| p * 3);
-        assert_eq!(out, points.iter().map(|p| p * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn harness_config_applies_to_generated_specs_only() {
-        let cfg = HarnessConfig {
-            queries: 2,
-            relations: 5,
-            scale: 0.01,
-            seed: 9,
-        };
-        let fig6 = cfg.apply(dlb_core::scenario::find("fig6").unwrap());
-        assert_eq!(
-            fig6.workload,
-            WorkloadSpec::Generated {
-                queries: 2,
-                relations: 5,
-                scale: 0.01,
-                seed: 9
-            }
-        );
-        let chain = cfg.apply(dlb_core::scenario::find("chain53").unwrap());
-        assert!(matches!(chain.workload, WorkloadSpec::Chain { .. }));
-    }
 
     #[test]
     fn params_table_reflects_the_live_defaults() {
@@ -411,13 +237,44 @@ mod tests {
             scale: Some(0.5),
             ..WorkloadOverrides::default()
         };
-        let spec = o.apply(dlb_core::scenario::find("fig6").unwrap());
-        match spec.workload {
-            WorkloadSpec::Generated { queries, scale, .. } => {
-                assert_eq!(scale, 0.5);
-                assert_eq!(queries, HarnessConfig::default().queries);
+        let WorkloadSpec::Generated {
+            queries,
+            relations,
+            seed,
+            ..
+        } = WorkloadSpec::default()
+        else {
+            panic!("the default workload is generated");
+        };
+        assert_eq!(
+            o.apply(scenario::find("fig6").unwrap()).workload,
+            WorkloadSpec::Generated {
+                queries,
+                relations,
+                scale: 0.5,
+                seed
             }
-            other => panic!("unexpected workload {other:?}"),
+        );
+        let chain = scenario::find("chain53").unwrap();
+        assert_eq!(o.apply(chain.clone()), chain);
+    }
+
+    #[test]
+    fn unparseable_workload_variables_are_errors_naming_the_value() {
+        for (name, value) in [
+            ("HIERDB_QUERIES", "two"),
+            ("HIERDB_RELATIONS", "-5"),
+            ("HIERDB_SCALE", "0,01"),
+            ("HIERDB_SEED", "0xD1B1996"),
+        ] {
+            let err = WorkloadOverrides::from_lookup(false, |v| (v == name).then(|| value.into()))
+                .expect_err("a value that does not parse must be rejected")
+                .to_string();
+            assert!(err.contains(name) && err.contains(value), "{err}");
         }
+        let o =
+            WorkloadOverrides::from_lookup(true, |v| (v == "HIERDB_SCALE").then(|| "0.01".into()))
+                .unwrap();
+        assert_eq!((o.queries, o.scale, o.seed), (Some(20), Some(0.01), None));
     }
 }

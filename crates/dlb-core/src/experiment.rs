@@ -883,7 +883,7 @@ impl Experiment {
 
     /// Runs every plan strictly sequentially on the calling thread, bypassing
     /// the cache: the baseline against which the parallel fan-out of [`run`]
-    /// is validated (determinism tests) and benchmarked (`bench_report`).
+    /// is validated (determinism tests).
     ///
     /// [`run`]: Experiment::run
     pub fn run_sequential(&self, strategy: Strategy) -> Result<Vec<PlanRun>> {

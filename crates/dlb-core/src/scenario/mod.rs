@@ -344,8 +344,9 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioReport> {
 }
 
 /// Builds the experiment of a scenario's *base* point (no axis applied):
-/// what `bench_report` times. For mix workloads this is an experiment over
-/// the mix's inner compiled workload.
+/// the set-up the repository benchmark (`bench/`) times as `setup_s`. For
+/// mix workloads this is an experiment over the mix's inner compiled
+/// workload.
 pub fn base_experiment(spec: &ScenarioSpec) -> Result<Experiment> {
     spec.validate()?;
     let system = point_system(&spec.machine, spec.options);

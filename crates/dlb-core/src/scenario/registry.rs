@@ -1,9 +1,9 @@
 //! Bundled scenario specs: every figure of the paper's evaluation (§5),
 //! expressed declaratively.
 //!
-//! The registry is the single source of truth the figure binaries, the
-//! `scenario` runner and `bench_report` all draw from; adding a scenario here
-//! (or shipping a JSON spec file) is how the evaluation grows new workloads.
+//! The registry is the single source of truth `all_figures` and the
+//! `scenario` runner draw from; adding a scenario here (or shipping a JSON
+//! spec file) is how the evaluation grows new workloads.
 
 use super::spec::{
     Axis, Metric, MixSpec, OpenSpec, Presentation, Reference, RowFmt, ScenarioSpec, TableStyle,
@@ -701,7 +701,8 @@ pub fn strategy_tournament() -> ScenarioSpec {
 }
 
 /// The paper's base hierarchical configuration (4×8, no skew), DP versus FP:
-/// the default subject of `bench_report` and a template for user specs.
+/// the nightly 1-vs-auto-thread determinism check and a template for user
+/// specs.
 pub fn paper_base() -> ScenarioSpec {
     ScenarioSpec::builder("paper-base")
         .title("Paper base configuration")

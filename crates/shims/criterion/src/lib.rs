@@ -3,19 +3,17 @@
 //!
 //! The build environment has no crates.io access. This shim keeps every
 //! `benches/*.rs` file compiling and producing *useful* numbers under
-//! `cargo bench`: each benchmark runs a configurable warm-up, collects a
-//! configurable number of samples, and summarizes them with the robust
-//! statistics in [`stats`] — MAD outlier rejection, mean, median, minimum
+//! `cargo bench`: each benchmark runs 2 unmeasured warm-up iterations,
+//! collects 10 samples, and summarizes them with the robust
+//! statistics in `stats` — MAD outlier rejection, mean, median, minimum
 //! and a 95% confidence interval — a small, honest subset of criterion's
-//! statistical machinery. The [`stats`] module is public so harness
-//! binaries (`bench_report`) can apply the same summary to their own
-//! timings.
+//! statistical machinery.
 
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
 
-pub mod stats {
+mod stats {
     //! Robust summary statistics for timing samples.
     //!
     //! Wall-clock benchmark samples are contaminated by scheduler noise in
@@ -207,19 +205,6 @@ impl Bencher {
         }
     }
 
-    /// Times `routine` over the configured number of samples, after the
-    /// configured number of unmeasured warm-up iterations.
-    pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        for _ in 0..self.warm_up {
-            black_box(routine());
-        }
-        for _ in 0..self.samples {
-            let start = Instant::now();
-            black_box(routine());
-            self.results.push(start.elapsed());
-        }
-    }
-
     /// Times `routine` over fresh inputs built by `setup` (setup excluded
     /// from the measurement).
     pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
@@ -280,19 +265,6 @@ impl Criterion {
         self
     }
 
-    /// Sets the number of measured samples per benchmark.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = n.max(1);
-        self
-    }
-
-    /// Sets the number of unmeasured warm-up iterations per benchmark
-    /// (shim extension; real criterion sizes warm-up by wall time).
-    pub fn warm_up_iters(&mut self, n: usize) -> &mut Self {
-        self.warm_up = n;
-        self
-    }
-
     /// Runs one named benchmark.
     pub fn bench_function<S, F>(&mut self, name: S, mut f: F) -> &mut Self
     where
@@ -304,53 +276,6 @@ impl Criterion {
         b.report(name.as_ref());
         self
     }
-
-    /// Opens a named group of related benchmarks.
-    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        BenchmarkGroup {
-            prefix: name.to_string(),
-            sample_size: self.sample_size,
-            warm_up: self.warm_up,
-            _parent: self,
-        }
-    }
-}
-
-/// A group of related benchmarks sharing a name prefix.
-pub struct BenchmarkGroup<'a> {
-    prefix: String,
-    sample_size: usize,
-    warm_up: usize,
-    _parent: &'a mut Criterion,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Sets the number of measured samples for benchmarks in this group.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = n.max(1);
-        self
-    }
-
-    /// Sets the number of unmeasured warm-up iterations for this group.
-    pub fn warm_up_iters(&mut self, n: usize) -> &mut Self {
-        self.warm_up = n;
-        self
-    }
-
-    /// Runs one named benchmark within the group.
-    pub fn bench_function<S, F>(&mut self, name: S, mut f: F) -> &mut Self
-    where
-        S: AsRef<str>,
-        F: FnMut(&mut Bencher),
-    {
-        let mut b = Bencher::new(self.sample_size, self.warm_up);
-        f(&mut b);
-        b.report(&format!("{}/{}", self.prefix, name.as_ref()));
-        self
-    }
-
-    /// Ends the group.
-    pub fn finish(self) {}
 }
 
 /// Declares the benchmark entry list, mirroring `criterion_group!`.
@@ -379,48 +304,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bench_function_runs_and_reports() {
-        let mut c = Criterion::default();
-        c.sample_size(3);
-        let mut runs = 0;
-        c.bench_function("noop", |b| b.iter(|| runs += 1));
-        // 2 warm-up (default) + 3 measured.
-        assert_eq!(runs, 5);
-    }
-
-    #[test]
-    fn warm_up_is_configurable() {
-        let mut c = Criterion::default();
-        c.sample_size(4).warm_up_iters(0);
-        let mut runs = 0;
-        c.bench_function("cold", |b| b.iter(|| runs += 1));
-        assert_eq!(runs, 4);
-
-        let mut group = c.benchmark_group("g");
-        group.sample_size(2).warm_up_iters(5);
-        let mut grouped = 0;
-        group.bench_function("hot", |b| b.iter(|| grouped += 1));
-        group.finish();
-        assert_eq!(grouped, 7);
-    }
-
-    #[test]
     fn iter_batched_consumes_fresh_inputs() {
         let mut c = Criterion::default();
-        let mut group = c.benchmark_group("g");
-        group.sample_size(4);
-        let mut built = 0;
-        group.bench_function("batched", |b| {
+        let (mut built, mut runs) = (0, 0);
+        c.bench_function("batched", |b| {
             b.iter_batched(
                 || {
                     built += 1;
                     vec![0u8; 16]
                 },
-                |v| v.len(),
+                |v| {
+                    runs += 1;
+                    v.len()
+                },
                 BatchSize::SmallInput,
             )
         });
-        group.finish();
-        assert_eq!(built, 6);
+        // 2 warm-up + 10 measured iterations, each on a fresh input.
+        assert_eq!((built, runs), (12, 12));
     }
 }
