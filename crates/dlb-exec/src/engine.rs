@@ -5041,6 +5041,28 @@ mod tests {
         );
         assert!(!msg.contains(" token "), "no episode is in flight: {msg}");
 
+        // A closed lane that never started still counts: the second query
+        // of this mix arrives later, and its QueryStart is dropped with the
+        // rest of the calendar.
+        let second = two_join_plan(2);
+        let queries = [solo(&plan, 0.0, 1, 0.0), solo(&second, 1.0, 1, 0.0)];
+        let source = LaneSource::Closed {
+            queries: &queries,
+            topology: &[],
+        };
+        let mut engine =
+            QueueEngine::new(source, config, Strategy::dynamic(), ExecOptions::default()).unwrap();
+        assert!(!engine.lanes[1].started);
+        while engine.calendar.pop().is_some() {}
+        let total = n_ops + second.tree.operators().len();
+        let msg = engine.run_loop().unwrap_err().to_string();
+        assert!(
+            msg.contains(&format!(
+                "simulation stalled: 0 of {total} operators terminated"
+            )),
+            "{msg}"
+        );
+
         // A steal request still collecting its replies is listed with its
         // node, token and reply count.
         let mut engine = closed_engine(&plan, config, Strategy::dynamic());
