@@ -3,6 +3,106 @@
 
 use super::*;
 
+impl<'a> OpenState<'a> {
+    /// The state of an open run over `traffic`, with the first arrival
+    /// drawn.
+    fn new(traffic: &OpenTraffic<'a>, options: &ExecOptions) -> Result<Self> {
+        let mut stream = ArrivalStream::new(traffic.arrivals).map_err(DlbError::config)?;
+        let concurrency = traffic.concurrency;
+        let priority_classes = traffic.arrivals.priority_classes as usize;
+        Ok(Self {
+            templates: traffic.templates.clone(),
+            upcoming: stream.next(),
+            stream,
+            pending: VecDeque::new(),
+            free_slots: (0..concurrency).rev().collect(),
+            live_now: 0,
+            peak_live: 0,
+            completed: 0,
+            admission_seq: 0,
+            lane_seq: vec![0; concurrency],
+            lane_template: vec![0; concurrency],
+            fp_rng: rng_from_seed(options.seed),
+            response: LatencyHistogram::new(),
+            wait: LatencyHistogram::new(),
+            slowdown: LatencyHistogram::new(),
+            response_by_class: (0..priority_classes.max(1))
+                .map(|_| LatencyHistogram::new())
+                .collect(),
+            frontend: traffic.frontend,
+            cache: ResultCache::new(
+                traffic.frontend.cache_capacity,
+                traffic.frontend.cache_ttl_secs,
+            ),
+            flight: SingleFlight::new(),
+            cache_bypass: 0,
+            engine_queries: 0,
+            engine_by_template: vec![0; traffic.templates.len()],
+            response_engine: LatencyHistogram::new(),
+            response_cache_hit: LatencyHistogram::new(),
+            response_coalesced: LatencyHistogram::new(),
+            front_finish: SimTime::ZERO,
+        })
+    }
+
+    /// Whether the open run is complete: the arrival stream is exhausted,
+    /// the waiting room is empty and every admitted query retired (its
+    /// `QueryRelease` processed, so the final latency samples are recorded
+    /// and the final slot freed).
+    pub(super) fn is_done(&self) -> bool {
+        self.upcoming.is_none() && self.pending.is_empty() && self.live_now == 0
+    }
+
+    /// Records one completed query of `template` in the latency sketches:
+    /// its response, its admission wait, its slowdown against the
+    /// template's solo time, and its response in its priority class.
+    fn record(&mut self, template: usize, priority: u32, response: f64, wait: f64) {
+        let solo = self.templates[template].solo_secs;
+        let slowdown = if solo > 0.0 { response / solo } else { 1.0 };
+        self.response.record(response);
+        self.wait.record(wait);
+        self.slowdown.record(slowdown);
+        let class = (priority as usize - 1).min(self.response_by_class.len() - 1);
+        self.response_by_class[class].record(response);
+        self.completed += 1;
+    }
+
+    /// The front end's verdict on an arrival at `now`: the result cache
+    /// serves a hit on the spot, and single-flight coalescing subscribes a
+    /// repeat of an in-flight query to its leader. Returns whether the
+    /// arrival goes on to the waiting room. A disabled front end passes
+    /// every arrival.
+    fn front_end(&mut self, arrival: Arrival, now: SimTime) -> bool {
+        if !self.frontend.enabled() {
+            return true;
+        }
+        if self.frontend.cache_capacity == 0 {
+            self.cache_bypass += 1;
+        } else if let Lookup::Hit(()) = self.cache.lookup(&arrival.template, now.as_secs_f64()) {
+            // Served from cache: retire synchronously at now + fan-out,
+            // never touching a lane or the calendar. Wait is zero — it
+            // never queued.
+            let response = self.frontend.fanout_cost_secs;
+            self.record(arrival.template, arrival.priority, response, 0.0);
+            self.response_cache_hit.record(response);
+            let retire_at = now + Duration::from_secs_f64(response);
+            self.front_finish = self.front_finish.max(retire_at);
+            return false;
+        }
+        if self.frontend.coalesce && !self.flight.lead(arrival.template) {
+            // An identical query is in flight: subscribe to its leader
+            // instead of executing again.
+            let follower = OpenFollower {
+                arrived_at: now,
+                priority: arrival.priority,
+            };
+            self.flight.attach(&arrival.template, follower);
+            return false;
+        }
+        true
+    }
+}
+
 impl<'a> QueueEngine<'a> {
     // ----------------------------------------------------------------- //
     // Memory admission (head-of-line FCFS, matching `mix::schedule_mix`)
@@ -61,9 +161,7 @@ impl<'a> QueueEngine<'a> {
     fn activate_lane(&mut self, lane: usize) {
         let (base, n_ops) = (self.lanes[lane].base, self.lanes[lane].n_ops);
         for op in base..base + n_ops {
-            for node in 0..self.nodes {
-                self.check_local_end(op, node);
-            }
+            self.check_local_end_everywhere(op);
         }
         for node in 0..self.nodes {
             self.wake_threads(node, None);
@@ -77,26 +175,24 @@ impl<'a> QueueEngine<'a> {
     pub(super) fn on_query_start(&mut self, lane: usize) {
         self.admission_queue.push_back(lane);
         while let Some(admitted) = self.try_reserve_head() {
-            self.start_lane(admitted);
-            self.activate_lane(admitted);
+            self.on_query_admit(admitted);
         }
     }
 
-    /// A waiting query's reservation succeeded after a release: start it.
+    /// Starts a lane whose memory is reserved and wakes the machine. A
+    /// query that waited gets here by a `QueryAdmit` event after a release.
     pub(super) fn on_query_admit(&mut self, lane: usize) {
         self.start_lane(lane);
         self.activate_lane(lane);
     }
 
-    /// A query completed: free its working set on its placement nodes, then
-    /// admit every waiting lane that now fits (each admission is its own
-    /// `QueryAdmit` event at the current instant; memory is reserved at
-    /// scheduling time so the chain of fits stays consistent).
-    pub(super) fn on_query_release(&mut self, lane: usize) {
-        // A restarted operator can re-terminate a lane that already released
-        // (lose-and-restart rebuilds after the lane's first completion).
+    /// Frees a completed lane's working set on its placement nodes. Returns
+    /// `false`, and frees nothing, when the lane already released: a
+    /// restarted operator can re-terminate a lane (lose-and-restart rebuilds
+    /// after the lane's first completion).
+    fn release_lane(&mut self, lane: usize) -> bool {
         if std::mem::replace(&mut self.lanes[lane].released, true) {
-            return;
+            return false;
         }
         let cap = self.config.machine.memory_per_node_bytes;
         for (n, amt) in std::mem::take(&mut self.lanes[lane].reserved) {
@@ -104,14 +200,21 @@ impl<'a> QueueEngine<'a> {
             // (saturating reserve); cap the give-back at the capacity.
             self.free_mem[n] = (self.free_mem[n] + amt).min(cap);
         }
-        if self.open.is_some() {
-            // Open mode: retirement — record latency samples, drop the
-            // lane's operator state, recycle the slot, admit from the
-            // waiting room.
-            self.retire_open_lane(lane);
-            self.try_admit_open();
-            return;
+        true
+    }
+
+    /// A query completed: free its working set, then admit every waiting
+    /// lane that now fits.
+    pub(super) fn on_query_release(&mut self, lane: usize) {
+        if self.release_lane(lane) {
+            self.admit_waiting();
         }
+    }
+
+    /// Admits every waiting lane that fits, each as its own `QueryAdmit`
+    /// event at the current instant. Memory is reserved at scheduling time,
+    /// so the chain of fits stays consistent.
+    pub(super) fn admit_waiting(&mut self) {
         let now = self.calendar.now();
         while let Some(admitted) = self.try_reserve_head() {
             self.calendar
@@ -123,124 +226,92 @@ impl<'a> QueueEngine<'a> {
     // Open-system mode (stochastic arrivals, bounded live state)
     // ----------------------------------------------------------------- //
 
-    /// The next query of the arrival stream arrives: the front end tries the
-    /// result cache, then single-flight coalescing; only a miss that leads
-    /// enters the waiting room. The following arrival is drawn and scheduled
-    /// (lazy, one ahead), and admission runs. With the front end disabled the
-    /// path is exactly the historical one.
-    pub(super) fn on_open_arrival(&mut self) {
-        let now = self.calendar.now();
-        let next_offset = {
-            let open = self.open.as_mut().expect("open mode");
-            let arrival = open.upcoming.take().expect("an arrival was scheduled");
-            let mut enqueue = true;
-            if open.frontend.enabled() {
-                if open.frontend.cache_capacity > 0 {
-                    if let Lookup::Hit(()) = open.cache.lookup(&arrival.template, now.as_secs_f64())
-                    {
-                        // Served from cache: retire synchronously at
-                        // now + fan-out, never touching a lane or the
-                        // calendar. Wait is zero — it never queued.
-                        let response = open.frontend.fanout_cost_secs;
-                        let solo = open.templates[arrival.template].solo_secs;
-                        let slowdown = if solo > 0.0 { response / solo } else { 1.0 };
-                        open.response.record(response);
-                        open.wait.record(0.0);
-                        open.slowdown.record(slowdown);
-                        let class =
-                            (arrival.priority as usize - 1).min(open.response_by_class.len() - 1);
-                        open.response_by_class[class].record(response);
-                        open.response_cache_hit.record(response);
-                        open.completed += 1;
-                        let retire_at = now + Duration::from_secs_f64(response);
-                        open.front_finish = open.front_finish.max(retire_at);
-                        enqueue = false;
-                    }
-                } else {
-                    open.cache_bypass += 1;
-                }
-                if enqueue && open.frontend.coalesce && !open.flight.lead(arrival.template) {
-                    // An identical query is in flight: subscribe to its
-                    // leader instead of executing again.
-                    open.flight.attach(
-                        &arrival.template,
-                        OpenFollower {
-                            arrived_at: now,
-                            priority: arrival.priority,
-                        },
-                    );
-                    enqueue = false;
-                }
-            }
-            if enqueue {
-                open.pending.push_back(OpenPending {
-                    arrived_at: now,
-                    template: arrival.template,
-                    priority: arrival.priority,
-                });
-            }
-            match open.stream.next() {
-                Some(next) => {
-                    open.upcoming = Some(next);
-                    Some(next.offset_secs)
-                }
-                None => {
-                    open.arrivals_done = true;
-                    None
-                }
-            }
-        };
-        if let Some(offset) = next_offset {
+    /// An open run over `traffic`: the engine [`Self::new`] builds over its
+    /// lane slots, and the open state the run owns, with the first arrival
+    /// scheduled.
+    pub(super) fn open_run(
+        traffic: &OpenTraffic<'a>,
+        config: SystemConfig,
+        strategy: Strategy,
+        options: ExecOptions,
+    ) -> Result<(Self, OpenState<'a>)> {
+        let mut engine = Self::new(LaneSource::Open(traffic), config, strategy, options)?;
+        let open = OpenState::new(traffic, &options)?;
+        engine.schedule_arrival(&open);
+        Ok((engine, open))
+    }
+
+    /// Schedules the open run's upcoming arrival, if the stream has one.
+    fn schedule_arrival(&mut self, open: &OpenState<'a>) {
+        if let Some(next) = open.upcoming {
             self.calendar.schedule_at(
-                SimTime::ZERO + Duration::from_secs_f64(offset),
+                SimTime::ZERO + Duration::from_secs_f64(next.offset_secs),
                 Event::OpenArrival,
             );
         }
-        self.try_admit_open();
+    }
+
+    /// The next query of the arrival stream arrives: unless the front end
+    /// serves it, it enters the waiting room. The following arrival is
+    /// drawn and scheduled (lazy, one ahead), and admission runs.
+    pub(super) fn on_open_arrival(&mut self, open: &mut OpenState<'a>) {
+        let Some(arrival) = open.upcoming.take() else {
+            return;
+        };
+        let now = self.calendar.now();
+        if open.front_end(arrival, now) {
+            open.pending.push_back(OpenPending {
+                arrived_at: now,
+                template: arrival.template,
+                priority: arrival.priority,
+            });
+        }
+        open.upcoming = open.stream.next();
+        self.schedule_arrival(open);
+        self.try_admit_open(open);
+    }
+
+    /// An open query completed: free its working set, retire its lane and
+    /// admit from the waiting room.
+    pub(super) fn on_open_release(&mut self, lane: usize, open: &mut OpenState<'a>) {
+        if self.release_lane(lane) {
+            self.retire_open_lane(lane, open);
+            self.try_admit_open(open);
+        }
     }
 
     /// Admits waiting queries while a lane slot is free and the head of the
     /// waiting room fits in every node's free memory. Strict head-of-line
     /// FCFS, like closed-mode admission: a blocked head is never jumped.
-    fn try_admit_open(&mut self) {
-        loop {
-            let (slot, head) = {
-                let open = self.open.as_mut().expect("open mode");
-                if open.free_slots.is_empty() {
-                    return;
-                }
-                let Some(front) = open.pending.front() else {
-                    return;
-                };
-                let mem_per_node = open.templates[front.template]
-                    .memory_bytes
-                    .div_ceil(self.nodes as u64);
-                if !(0..self.nodes).all(|n| self.free_mem[n] >= mem_per_node) {
-                    return;
-                }
-                let head = open.pending.pop_front().expect("checked non-empty");
-                let slot = open.free_slots.pop().expect("checked non-empty");
-                open.admission_seq += 1;
-                open.lane_seq[slot] = open.admission_seq;
-                open.lane_template[slot] = head.template;
-                open.live_now += 1;
-                open.peak_live = open.peak_live.max(open.live_now);
-                (slot, head)
+    fn try_admit_open(&mut self, open: &mut OpenState<'a>) {
+        while let Some(&slot) = open.free_slots.last() {
+            let Some(&head) = open.pending.front() else {
+                return;
             };
-            self.admit_open_lane(slot, head);
+            let mem_per_node = open.templates[head.template]
+                .memory_bytes
+                .div_ceil(self.nodes as u64);
+            if !(0..self.nodes).all(|n| self.free_mem[n] >= mem_per_node) {
+                return;
+            }
+            open.free_slots.pop();
+            open.pending.pop_front();
+            open.admission_seq += 1;
+            open.lane_seq[slot] = open.admission_seq;
+            open.lane_template[slot] = head.template;
+            open.live_now += 1;
+            open.peak_live = open.peak_live.max(open.live_now);
+            self.admit_open_lane(slot, head, open);
         }
     }
 
     /// Populates a free lane slot with one admitted query: lane descriptors,
     /// fresh operator runtimes over the slot's op range, memory reservation,
     /// FP thread allocation, scheduling order, triggers.
-    fn admit_open_lane(&mut self, slot: usize, head: OpenPending) {
-        let now = self.calendar.now();
-        let (plan, memory_bytes) = {
-            let open = self.open.as_ref().expect("open mode");
-            let t = &open.templates[head.template];
-            (t.plan, t.memory_bytes)
-        };
+    fn admit_open_lane(&mut self, slot: usize, head: OpenPending, open: &mut OpenState<'a>) {
+        let OpenTemplate {
+            plan, memory_bytes, ..
+        } = open.templates[head.template];
         let mem_per_node = memory_bytes.div_ceil(self.nodes as u64);
         for n in 0..self.nodes {
             self.free_mem[n] -= mem_per_node;
@@ -252,23 +323,15 @@ impl<'a> QueueEngine<'a> {
             memory_bytes,
             mem_per_node,
             reserved: (0..self.nodes).map(|n| (n, mem_per_node)).collect(),
-            started: true,
-            admitted_at: now,
             ..LaneRuntime::new(plan, base, plan.tree.operators().len(), skew)
         };
-        self.sync_lane_hot(slot);
         self.install_lane(slot)
             .expect("open templates are validated at construction");
         // FP: one fresh allocation per admission (the optimizer
         // mis-estimates each arriving query once), inserted into every
         // node's thread sets; retirement removes it again.
         if self.strategy.constrains_threads() {
-            let mut fp_rng = std::mem::replace(
-                &mut self.open.as_mut().expect("open mode").fp_rng,
-                rng_from_seed(0),
-            );
-            let assignment = self.allocate(plan, &mut fp_rng);
-            self.open.as_mut().expect("open mode").fp_rng = fp_rng;
+            let assignment = self.allocate(plan, &mut open.fp_rng);
             for node in 0..self.nodes {
                 self.allow_lane(node, base, &assignment);
             }
@@ -276,19 +339,14 @@ impl<'a> QueueEngine<'a> {
         // Re-derive the scheduling order: priority descending, admission
         // sequence ascending on ties (free slots sort by their last
         // occupant's keys — harmless, they are skipped as not started).
-        let mut order = std::mem::take(&mut self.lane_order);
-        {
-            let open = self.open.as_ref().expect("open mode");
-            order.sort_by(|&a, &b| {
-                self.lanes[b]
-                    .priority
-                    .cmp(&self.lanes[a].priority)
-                    .then(open.lane_seq[a].cmp(&open.lane_seq[b]))
-            });
-        }
-        self.lane_order = order;
-        self.seed_triggers(slot);
-        self.activate_lane(slot);
+        let lanes = &self.lanes;
+        self.lane_order.sort_by(|&a, &b| {
+            lanes[b]
+                .priority
+                .cmp(&lanes[a].priority)
+                .then(open.lane_seq[a].cmp(&open.lane_seq[b]))
+        });
+        self.on_query_admit(slot);
     }
 
     /// Retires a completed open-mode lane: records its latency samples into
@@ -296,7 +354,7 @@ impl<'a> QueueEngine<'a> {
     /// queues become `None`, op runtimes revert to placeholders, FP allowed
     /// ids are withdrawn — and frees the slot. This is what bounds live
     /// state by the concurrency level instead of the total query count.
-    fn retire_open_lane(&mut self, lane_idx: usize) {
+    fn retire_open_lane(&mut self, lane_idx: usize, open: &mut OpenState<'a>) {
         let (base, n_ops, priority, finished, response_secs, wait_secs) = {
             let lane = &self.lanes[lane_idx];
             (
@@ -317,39 +375,22 @@ impl<'a> QueueEngine<'a> {
                 self.ready[node].remove(idx);
             }
         }
-        if self.strategy.constrains_threads() {
-            for node in 0..self.nodes {
-                for t in 0..self.threads_per_node {
-                    if let Some(set) = &mut self.allowed[node][t] {
-                        for idx in base..base + n_ops {
-                            set.remove(idx);
-                        }
-                    }
-                }
+        // FP: withdraw the lane from every thread's allowed set.
+        for set in self.allowed.iter_mut().flatten().flatten() {
+            for idx in base..base + n_ops {
+                set.remove(idx);
             }
         }
         self.lanes[lane_idx].started = false;
         self.sync_lane_hot(lane_idx);
-        let open = self.open.as_mut().expect("open mode");
-        let solo = open.templates[open.lane_template[lane_idx]].solo_secs;
-        let slowdown = if solo > 0.0 {
-            response_secs / solo
-        } else {
-            1.0
-        };
-        open.response.record(response_secs);
-        open.wait.record(wait_secs);
-        open.slowdown.record(slowdown);
-        let class = (priority as usize - 1).min(open.response_by_class.len() - 1);
-        open.response_by_class[class].record(response_secs);
-        open.completed += 1;
+        let template = open.lane_template[lane_idx];
+        open.record(template, priority, response_secs, wait_secs);
         open.live_now -= 1;
         open.free_slots.push(lane_idx);
         // Front-end bookkeeping: this lane was an engine execution (counted
         // unconditionally so `completed == engine + hits + coalesced` holds
         // with the front end off too), its result becomes cacheable now, and
         // its followers retire with it.
-        let template = open.lane_template[lane_idx];
         open.engine_queries += 1;
         open.engine_by_template[template] += 1;
         open.response_engine.record(response_secs);
@@ -360,18 +401,11 @@ impl<'a> QueueEngine<'a> {
             let followers = open.flight.complete(&template);
             if !followers.is_empty() {
                 let retire_at = finished + Duration::from_secs_f64(open.frontend.fanout_cost_secs);
-                let solo = open.templates[template].solo_secs;
                 for f in followers {
                     let response = retire_at.since(f.arrived_at).as_secs_f64();
                     let wait = finished.since(f.arrived_at).as_secs_f64();
-                    let slowdown = if solo > 0.0 { response / solo } else { 1.0 };
-                    open.response.record(response);
-                    open.wait.record(wait);
-                    open.slowdown.record(slowdown);
-                    let class = (f.priority as usize - 1).min(open.response_by_class.len() - 1);
-                    open.response_by_class[class].record(response);
+                    open.record(template, f.priority, response, wait);
                     open.response_coalesced.record(response);
-                    open.completed += 1;
                 }
                 open.front_finish = open.front_finish.max(retire_at);
             }

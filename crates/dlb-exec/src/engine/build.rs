@@ -10,8 +10,9 @@ impl<'a> QueueEngine<'a> {
     /// lanes that arrive at time zero and schedules a `QueryStart` for each
     /// later one; an open source starts with every lane slot empty and
     /// installs a lane per admission. Either way every thread is then
-    /// kicked off at time zero, the topology stream is injected, the initial
-    /// end check runs, and an open run schedules its first arrival.
+    /// kicked off at time zero, the topology stream is injected and the
+    /// initial end check runs. An open run's state, and its first arrival,
+    /// come from [`Self::open_run`].
     pub(crate) fn new(
         source: LaneSource<'_, 'a>,
         config: SystemConfig,
@@ -23,16 +24,17 @@ impl<'a> QueueEngine<'a> {
                 "machine needs at least one node and processor",
             ));
         }
-        let (lanes, op_slots, open, topology) = match source {
+        let closed = matches!(source, LaneSource::Closed { .. });
+        let (lanes, op_slots, topology) = match source {
             LaneSource::Closed { queries, topology } => {
                 let lanes = Self::closed_lanes(queries, &config)?;
                 let op_slots = lanes.iter().map(|l| l.n_ops).sum();
                 let topology = validate_topology(topology, config.machine.nodes)?;
-                (lanes, op_slots, None, topology)
+                (lanes, op_slots, topology)
             }
             LaneSource::Open(traffic) => {
-                let (lanes, op_slots, open) = Self::open_lanes(traffic, &config, &options)?;
-                (lanes, op_slots, Some(open), Vec::new())
+                let (lanes, op_slots) = Self::open_lanes(traffic, &config, &options)?;
+                (lanes, op_slots, Vec::new())
             }
         };
         let mut lane_order: Vec<usize> = (0..lanes.len()).collect();
@@ -85,7 +87,6 @@ impl<'a> QueueEngine<'a> {
             node_lb: (0..nodes).map(|_| NodeLb::default()).collect(),
             disk_cursor: vec![0; nodes],
             epochs: vec![0; op_slots],
-            open,
             free_mem: vec![config.machine.memory_per_node_bytes; nodes],
             admission_queue: VecDeque::new(),
             topology,
@@ -101,7 +102,7 @@ impl<'a> QueueEngine<'a> {
             finished_at: SimTime::ZERO,
         };
 
-        if engine.open.is_none() {
+        if closed {
             for lane in 0..engine.lanes.len() {
                 engine.install_lane(lane)?;
             }
@@ -146,15 +147,7 @@ impl<'a> QueueEngine<'a> {
         // Scans with no local data (or empty relations) can complete right
         // away; run an initial end check over everything already started.
         for op in 0..engine.ops.len() {
-            for node in 0..engine.nodes {
-                engine.check_local_end(op, node);
-            }
-        }
-        if let Some(first) = engine.open.as_ref().and_then(|open| open.upcoming) {
-            engine.calendar.schedule_at(
-                SimTime::ZERO + Duration::from_secs_f64(first.offset_secs),
-                Event::OpenArrival,
-            );
+            engine.check_local_end_everywhere(op);
         }
         Ok(engine)
     }
@@ -237,13 +230,13 @@ impl<'a> QueueEngine<'a> {
 
     /// Validates open traffic and lays out its `concurrency` empty lane
     /// slots, each owning a fixed contiguous range of as many op slots as
-    /// the largest template has operators. Returns the slots, the op-slot
-    /// count and the open-mode state.
+    /// the largest template has operators. Returns the slots and the op-slot
+    /// count.
     fn open_lanes(
         traffic: &OpenTraffic<'a>,
         config: &SystemConfig,
         options: &ExecOptions,
-    ) -> Result<(Vec<LaneRuntime<'a>>, usize, OpenState<'a>)> {
+    ) -> Result<(Vec<LaneRuntime<'a>>, usize)> {
         if traffic.templates.is_empty() {
             return Err(DlbError::config("open traffic needs at least one template"));
         }
@@ -293,7 +286,6 @@ impl<'a> QueueEngine<'a> {
                 )));
             }
         }
-        let mut stream = ArrivalStream::new(traffic.arrivals).map_err(DlbError::config)?;
         let max_ops = traffic
             .templates
             .iter()
@@ -307,43 +299,7 @@ impl<'a> QueueEngine<'a> {
                 ..LaneRuntime::new(traffic.templates[0].plan, i * max_ops, 0, options.skew)
             })
             .collect();
-        let priority_classes = traffic.arrivals.priority_classes as usize;
-        let upcoming = stream.next();
-        let open = OpenState {
-            templates: traffic.templates.clone(),
-            arrivals_done: upcoming.is_none(),
-            upcoming,
-            stream,
-            pending: VecDeque::new(),
-            free_slots: (0..concurrency).rev().collect(),
-            live_now: 0,
-            peak_live: 0,
-            completed: 0,
-            admission_seq: 0,
-            lane_seq: vec![0; concurrency],
-            lane_template: vec![0; concurrency],
-            fp_rng: rng_from_seed(options.seed),
-            response: LatencyHistogram::new(),
-            wait: LatencyHistogram::new(),
-            slowdown: LatencyHistogram::new(),
-            response_by_class: (0..priority_classes.max(1))
-                .map(|_| LatencyHistogram::new())
-                .collect(),
-            frontend: traffic.frontend,
-            cache: ResultCache::new(
-                traffic.frontend.cache_capacity,
-                traffic.frontend.cache_ttl_secs,
-            ),
-            flight: SingleFlight::new(),
-            cache_bypass: 0,
-            engine_queries: 0,
-            engine_by_template: vec![0; traffic.templates.len()],
-            response_engine: LatencyHistogram::new(),
-            response_cache_hit: LatencyHistogram::new(),
-            response_coalesced: LatencyHistogram::new(),
-            front_finish: SimTime::ZERO,
-        };
-        Ok((lanes, concurrency * max_ops, open))
+        Ok((lanes, concurrency * max_ops))
     }
 
     /// A permanently terminated operator slot: what op slots hold before
@@ -445,14 +401,9 @@ impl<'a> QueueEngine<'a> {
                 output_ratio,
                 blockers_remaining: blockers.len(),
                 terminated: false,
-                input_sent: 0,
-                input_delivered: 0,
-                input_processed: 0,
-                phase1_reports: 0,
-                phase2_started: false,
-                phase2_confirms: 0,
                 build_twin,
                 producers: Self::global_producers(plan, base, op.id),
+                ..Self::placeholder_op(lane_idx)
             };
             // The slot held a terminated placeholder; it is live now.
             self.ops_terminated -= 1;

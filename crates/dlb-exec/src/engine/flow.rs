@@ -89,7 +89,8 @@ impl<'a> QueueEngine<'a> {
     // Activation processing
     // ----------------------------------------------------------------- //
 
-    fn contention(&self, _node: usize) -> f64 {
+    /// The shared-memory contention slowdown of the node's processors.
+    fn contention(&self) -> f64 {
         self.options
             .contention_factor(self.config.machine.processors_per_node)
     }
@@ -148,7 +149,7 @@ impl<'a> QueueEngine<'a> {
             }
         }
 
-        let cpu_time = self.config.cpu.instructions(instructions) * self.contention(node);
+        let cpu_time = self.config.cpu.instructions(instructions) * self.contention();
         let mut quantum_end = (now + cpu_time).max(io_complete);
 
         // Record hash-table growth for builds.
@@ -232,36 +233,40 @@ impl<'a> QueueEngine<'a> {
             let dest_thread = slot % self.threads_per_node;
             let activation = Activation::data(consumer_local, batch).for_query(lane_idx as u32);
             self.ops[consumer_idx].input_sent += batch;
-            if dest_node == node {
+            let at = if dest_node == node {
                 // Same SM-node: the move goes through shared memory; the
                 // activation becomes visible when the producer finishes.
-                self.calendar.schedule_at(
-                    cursor,
-                    Event::Data {
-                        node: dest_node,
-                        op: consumer_idx,
-                        slot: dest_thread,
-                        activation,
-                    },
-                );
+                cursor
             } else {
                 let bytes = self.config.costs.bytes_for_tuples(batch);
                 let timing =
                     self.network
                         .send(NodeId::from(node), NodeId::from(dest_node), bytes, cursor);
                 cursor = timing.sent;
-                self.calendar.schedule_at(
-                    timing.arrival + timing.recv_cpu,
-                    Event::Data {
-                        node: dest_node,
-                        op: consumer_idx,
-                        slot: dest_thread,
-                        activation,
-                    },
-                );
-            }
+                timing.arrival + timing.recv_cpu
+            };
+            self.schedule_data(at, dest_node, consumer_idx, dest_thread, activation);
         }
         cursor
+    }
+
+    /// Schedules `activation` to land in queue `slot` of `op` on `node` at
+    /// `at`.
+    pub(super) fn schedule_data(
+        &mut self,
+        at: SimTime,
+        node: usize,
+        op: usize,
+        slot: usize,
+        activation: Activation,
+    ) {
+        let data = Event::Data {
+            node,
+            op,
+            slot,
+            activation,
+        };
+        self.calendar.schedule_at(at, data);
     }
 
     pub(super) fn on_data(&mut self, node: usize, op: usize, slot: usize, activation: Activation) {

@@ -52,7 +52,10 @@
 //! or an [`OpenTraffic`] stream for [`execute_open`]. The source decides only
 //! how lanes are laid out and when each is installed — all up front in
 //! closed mode, one per admission in open mode — and the same
-//! `install_lane` writes a lane's operators either way. Work selection has
+//! `install_lane` writes a lane's operators either way. An open run also
+//! owns an `OpenState` beside its engine (arrival stream, waiting room, front
+//! end, latency sketches) and hands it to the arrival and retirement
+//! handlers, so a closed engine carries no open-mode state. Work selection has
 //! one path for every plan and node width: candidate sets are walked a
 //! 64-bit word at a time across as many words as the lane spans, and the
 //! per-node queue and idle-thread sets are multi-word bitsets.
@@ -189,15 +192,18 @@ struct OpenFollower {
     priority: u32,
 }
 
-/// Engine-side state of an open-system run (absent in closed mode).
+/// The state an open-system run owns beside its engine: the arrival stream,
+/// the waiting room, lane-slot bookkeeping, the front end and the latency
+/// sketches. Only [`QueueEngine::run_open`] holds one, and the open-only
+/// handlers take it as an argument, so a closed run cannot reach them.
 struct OpenState<'a> {
     templates: Vec<OpenTemplate<'a>>,
     stream: ArrivalStream,
     /// The next arrival, already drawn and scheduled as an `OpenArrival`
-    /// event. Drawing lazily — one descriptor ahead of the clock — keeps
-    /// the calendar and the generator state `O(1)` in the query count.
+    /// event; `None` once the stream is exhausted. Drawing lazily — one
+    /// descriptor ahead of the clock — keeps the calendar and the generator
+    /// state `O(1)` in the query count.
     upcoming: Option<Arrival>,
-    arrivals_done: bool,
     pending: VecDeque<OpenPending>,
     /// Recyclable lane slots; initialized in reverse so the first admission
     /// takes slot 0 (a lone query then reproduces the closed engine exactly).
@@ -321,7 +327,7 @@ enum ControlMsg {
         epoch: u64,
     },
     /// A provider has nothing to offer.
-    NoOffer { from: usize, token: u64 },
+    NoOffer { token: u64 },
     /// The requester asks the chosen provider to ship activations.
     Acquire {
         from: usize,
@@ -736,9 +742,6 @@ pub(crate) struct QueueEngine<'a> {
     /// issued under so episodes that straddle a retirement die harmlessly.
     /// All-zero (and never bumped) in closed mode.
     epochs: Vec<u64>,
-    /// Open-system state (`None` = closed mode, i.e. every path below that
-    /// touches it is dead in classic runs).
-    open: Option<OpenState<'a>>,
 
     /// Free shared memory per SM-node (the admission budget).
     free_mem: Vec<u64>,
@@ -767,36 +770,50 @@ pub(crate) struct QueueEngine<'a> {
 }
 
 impl<'a> QueueEngine<'a> {
-    /// Whether the run is complete. Closed mode: every operator terminated.
-    /// Open mode: the arrival stream is exhausted, the waiting room is empty
-    /// and every admitted query retired (its `QueryRelease` processed, so
-    /// the final latency samples are recorded and the final slot freed).
-    fn is_done(&self) -> bool {
-        match &self.open {
-            Some(open) => {
-                open.arrivals_done
-                    && open.upcoming.is_none()
-                    && open.pending.is_empty()
-                    && open.live_now == 0
-            }
-            None => self.ops_terminated >= self.ops.len(),
+    /// Pops the next event: a calendar that empties before the run is done
+    /// is a stall, and a run past [`MAX_EVENTS`] is out of budget.
+    fn next_event(&mut self) -> Result<Event> {
+        let Some((_, event)) = self.calendar.pop() else {
+            return Err(self.stall_error());
+        };
+        if self.calendar.processed() > MAX_EVENTS {
+            return Err(self.budget_error());
         }
+        Ok(event)
     }
 
-    /// Runs the event loop until [`Self::is_done`].
+    /// Runs a closed run's event loop until every operator terminated. The
+    /// final lane's `QueryRelease` may be left unprocessed.
     fn run_loop(&mut self) -> Result<()> {
-        while !self.is_done() {
-            let Some((_, event)) = self.calendar.pop() else {
-                return Err(self.stall_error());
-            };
-            if self.calendar.processed() > MAX_EVENTS {
-                return Err(self.budget_error());
-            }
+        while self.ops_terminated < self.ops.len() {
+            let event = self.next_event()?;
             self.dispatch(event)?;
         }
         Ok(())
     }
 
+    /// Runs an open run's event loop until [`OpenState::is_done`].
+    fn run_open_loop(&mut self, open: &mut OpenState<'a>) -> Result<()> {
+        while !open.is_done() {
+            let event = self.next_event()?;
+            self.dispatch_open(event, open)?;
+        }
+        Ok(())
+    }
+
+    /// Dispatches one event of an open run: arrivals and releases go to the
+    /// open handlers, every other event to [`Self::dispatch`].
+    fn dispatch_open(&mut self, event: Event, open: &mut OpenState<'a>) -> Result<()> {
+        match event {
+            Event::OpenArrival => self.on_open_arrival(open),
+            Event::QueryRelease { lane } => self.on_open_release(lane, open),
+            event => self.dispatch(event)?,
+        }
+        Ok(())
+    }
+
+    /// Dispatches one event of a closed run, or an engine event of an open
+    /// run.
     fn dispatch(&mut self, event: Event) -> Result<()> {
         match event {
             Event::ThreadReady { node, thread } => self.on_thread_ready(node, thread),
@@ -811,17 +828,18 @@ impl<'a> QueueEngine<'a> {
             Event::QueryAdmit { lane } => self.on_query_admit(lane),
             Event::QueryRelease { lane } => self.on_query_release(lane),
             Event::Topology { index } => self.on_topology(index)?,
-            Event::OpenArrival => self.on_open_arrival(),
+            // Only an open run schedules arrivals, and `dispatch_open` takes
+            // them before they get here.
+            Event::OpenArrival => {}
         }
         Ok(())
     }
 
-    /// Whether op slot `op` holds an installed operator: always in closed
-    /// mode; in open mode only inside an admitted lane's plan (free and
-    /// retired slots hold terminated placeholders).
+    /// Whether op slot `op` holds an installed operator. An installed
+    /// operator always has a home node; the placeholders of an open run's
+    /// free and retired slots have none.
     fn slot_in_use(&self, op: usize) -> bool {
-        let lane = &self.lanes[self.ops[op].lane];
-        op < lane.base + lane.n_ops && (self.open.is_none() || lane.started)
+        !self.ops[op].home.is_empty()
     }
 
     /// The error for a calendar that emptied before the run was done.
@@ -999,10 +1017,9 @@ impl<'a> QueueEngine<'a> {
     /// Runs an open-system simulation to completion and produces the
     /// streaming report: aggregate counters plus the latency sketches (no
     /// per-query materialization).
-    pub(crate) fn run_open(mut self) -> Result<OpenReport> {
-        self.run_loop()?;
+    fn run_open(mut self, mut open: OpenState<'a>) -> Result<OpenReport> {
+        self.run_open_loop(&mut open)?;
         let aggregate = self.aggregate_report();
-        let open = self.open.take().expect("open mode");
         // Front-end retirements (cache hits, follower fan-outs) happen off
         // the calendar, so the run can end after the engine's last event.
         let makespan = aggregate
@@ -1163,7 +1180,8 @@ pub fn execute_open(
              SP has no activation queues to interleave",
         ));
     }
-    QueueEngine::new(LaneSource::Open(traffic), *config, strategy, *options)?.run_open()
+    let (engine, open) = QueueEngine::open_run(traffic, *config, strategy, *options)?;
+    engine.run_open(open)
 }
 
 #[cfg(test)]

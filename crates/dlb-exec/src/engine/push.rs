@@ -4,10 +4,6 @@
 use super::*;
 
 impl<'a> QueueEngine<'a> {
-    // ----------------------------------------------------------------- //
-    // Sender-initiated push (Threshold)
-    // ----------------------------------------------------------------- //
-
     /// After new work lands on `node`, probe a round-robin neighbour when
     /// the local queued load crossed the `hi` watermark. At most one probe
     /// is in flight per node; the eventual shipment reuses the §3.2
@@ -35,12 +31,7 @@ impl<'a> QueueEngine<'a> {
         lb.current_token += 1;
         let token = lb.current_token;
         self.lb_requests += 1;
-        self.send_control(
-            node,
-            target,
-            CONTROL_MESSAGE_BYTES,
-            ControlMsg::PushProbe { from: node, token },
-        );
+        self.send_control(node, target, ControlMsg::PushProbe { from: node, token });
     }
 
     /// A probed node decides whether to take pushed work: accept when it is
@@ -54,7 +45,6 @@ impl<'a> QueueEngine<'a> {
         self.send_control(
             node,
             sender,
-            CONTROL_MESSAGE_BYTES,
             ControlMsg::PushReply {
                 from: node,
                 accept,
@@ -83,16 +73,7 @@ impl<'a> QueueEngine<'a> {
         if !accept || !self.live[node] || !self.live[receiver] {
             return;
         }
-        let mut best: Option<(usize, u64, u64, f64)> = None;
-        for op in self.live_ops.iter() {
-            let Some(candidate) = self.steal_candidate(op, node, receiver, free_bytes) else {
-                continue;
-            };
-            if best.map(|(_, _, _, r)| candidate.3 > r).unwrap_or(true) {
-                best = Some(candidate);
-            }
-        }
-        if let Some((op, _, _, _)) = best {
+        if let Some((op, _, _, _)) = self.best_steal_candidate(node, receiver, free_bytes) {
             self.on_acquire(node, receiver, op, false, self.epochs[op]);
         }
     }

@@ -3,30 +3,55 @@
 
 use super::*;
 
+impl NodeLb {
+    /// Abandons the node's steal and push episodes when it leaves or
+    /// re-joins the machine; the token bump voids replies still in flight.
+    fn abandon(&mut self) {
+        self.current_token += 1;
+        self.starving_outstanding = false;
+        self.fp_outstanding.clear();
+        self.offers.clear();
+        self.replies_received = 0;
+        self.replies_expected = 0;
+        self.push_outstanding = false;
+    }
+}
+
+impl OpRuntime {
+    /// Restarts the coordinator's side of end detection from scratch (the
+    /// operator moved home or was re-opened). The global safety counters in
+    /// `maybe_terminate` make stale in-flight protocol messages harmless.
+    fn restart_end_detection(&mut self) {
+        self.phase1_reports = 0;
+        self.phase2_started = false;
+        self.phase2_confirms = 0;
+    }
+}
+
 impl<'a> QueueEngine<'a> {
     /// Redirects work addressed to a down node onto a live home node of
     /// `op`, deterministically keyed by `key` under the configured re-home
     /// policy. Callers guarantee at least one live home node (enforced by
     /// the wholesale lane re-home on failure).
     pub(super) fn live_home_redirect(&self, op: usize, key: u64) -> usize {
-        let mut seen = BTreeSet::new();
-        let survivors: Vec<NodeId> = self.ops[op]
-            .home
-            .iter()
-            .copied()
-            .filter(|n| self.live[n.index()] && seen.insert(n.index()))
-            .collect();
         let total = (self.ops[op].home.len() * self.threads_per_node) as u64;
         self.options
             .recovery
             .rehome
-            .survivor(key, total, &survivors)
+            .survivor(key, total, &self.live_homes(op))
             .index()
     }
 
-    // ----------------------------------------------------------------- //
-    // Topology events (fault injection)
-    // ----------------------------------------------------------------- //
+    /// The live nodes of `op`'s home, each once, in home order.
+    fn live_homes(&self, op: usize) -> Vec<NodeId> {
+        let mut seen = BTreeSet::new();
+        self.ops[op]
+            .home
+            .iter()
+            .copied()
+            .filter(|n| self.live[n.index()] && seen.insert(n.index()))
+            .collect()
+    }
 
     /// Applies one validated topology event. Failures and drains strip the
     /// node and recover its state on the survivors; joins revive the node
@@ -56,16 +81,7 @@ impl<'a> QueueEngine<'a> {
         for thread in 0..self.threads_per_node {
             self.set_idle(dead, thread, true);
         }
-        // Abandon the node's steal bookkeeping; the token bump voids replies
-        // still in flight towards it.
-        let lb = &mut self.node_lb[dead];
-        lb.current_token += 1;
-        lb.starving_outstanding = false;
-        lb.fp_outstanding.clear();
-        lb.offers.clear();
-        lb.replies_received = 0;
-        lb.replies_expected = 0;
-        lb.push_outstanding = false;
+        self.node_lb[dead].abandon();
         // The node's memory dies with it: admitted reservations on it are
         // gone, and nothing can be reserved there until it re-joins.
         for lane in &mut self.lanes {
@@ -83,9 +99,7 @@ impl<'a> QueueEngine<'a> {
         // last pending work) and the survivors have new work: sweep end
         // detection and wake every live node.
         for op in 0..self.ops.len() {
-            for node in 0..self.nodes {
-                self.check_local_end(op, node);
-            }
+            self.check_local_end_everywhere(op);
             self.maybe_terminate(op);
         }
         for node in 0..self.nodes {
@@ -101,21 +115,11 @@ impl<'a> QueueEngine<'a> {
         self.live[node] = true;
         self.faults.joins += 1;
         self.free_mem[node] = self.config.machine.memory_per_node_bytes;
-        let lb = &mut self.node_lb[node];
-        lb.current_token += 1;
-        lb.starving_outstanding = false;
-        lb.fp_outstanding.clear();
-        lb.offers.clear();
-        lb.replies_received = 0;
-        lb.replies_expected = 0;
-        lb.push_outstanding = false;
+        self.node_lb[node].abandon();
         // Demands shrink with the grown placement; waiting lanes may fit now.
         self.refresh_admission()?;
+        self.admit_waiting();
         let now = self.calendar.now();
-        while let Some(admitted) = self.try_reserve_head() {
-            self.calendar
-                .schedule_at(now, Event::QueryAdmit { lane: admitted });
-        }
         for thread in 0..self.threads_per_node {
             self.set_idle(node, thread, false);
             self.calendar
@@ -166,12 +170,7 @@ impl<'a> QueueEngine<'a> {
                 let old_home = std::mem::replace(&mut self.ops[op].home, vec![NodeId::from(m)]);
                 self.ops[op].router =
                     OutputRouter::new(self.threads_per_node, self.lanes[lane_idx].skew, op);
-                // Restart end detection from scratch for the new home; the
-                // global safety counters in `maybe_terminate` make stale
-                // in-flight protocol messages harmless.
-                self.ops[op].phase1_reports = 0;
-                self.ops[op].phase2_started = false;
-                self.ops[op].phase2_confirms = 0;
+                self.ops[op].restart_end_detection();
                 let mut moved: Vec<Activation> = Vec::new();
                 let mut hash = 0u64;
                 let mut seen = BTreeSet::new();
@@ -192,12 +191,8 @@ impl<'a> QueueEngine<'a> {
                 // FP: the survivor's threads must be allowed to run the
                 // re-homed operator (its static allocation never mentioned
                 // this node).
-                if self.strategy.constrains_threads() {
-                    for thread in 0..self.threads_per_node {
-                        if let Some(set) = &mut self.allowed[m][thread] {
-                            set.insert(op);
-                        }
-                    }
+                for set in self.allowed[m].iter_mut().flatten() {
+                    set.insert(op);
                 }
                 self.recover_state(op, dead, moved, hash, graceful);
             }
@@ -246,13 +241,7 @@ impl<'a> QueueEngine<'a> {
         hash: u64,
         graceful: bool,
     ) {
-        let mut seen = BTreeSet::new();
-        let survivors: Vec<NodeId> = self.ops[op]
-            .home
-            .iter()
-            .copied()
-            .filter(|n| self.live[n.index()] && seen.insert(n.index()))
-            .collect();
+        let survivors = self.live_homes(op);
         if survivors.is_empty() {
             // Only reachable for a *terminated* operator (live homes are
             // guaranteed otherwise): its residual hash table dies with the
@@ -293,17 +282,9 @@ impl<'a> QueueEngine<'a> {
             // subtracted here, so end detection keeps its invariants.
             self.ops[op].input_delivered -= a.tuples;
             let slot = i % self.threads_per_node;
-            if lose {
+            let at = if lose {
                 self.faults.tuples_lost += a.tuples;
-                self.calendar.schedule_at(
-                    now,
-                    Event::Data {
-                        node: dest,
-                        op,
-                        slot,
-                        activation: a,
-                    },
-                );
+                now
             } else {
                 self.faults.activations_rehomed += 1;
                 self.faults.tuples_rehomed += a.tuples;
@@ -316,16 +297,9 @@ impl<'a> QueueEngine<'a> {
                 let timing = self
                     .network
                     .send(NodeId::from(from), NodeId::from(dest), bytes, now);
-                self.calendar.schedule_at(
-                    timing.arrival + timing.recv_cpu,
-                    Event::Data {
-                        node: dest,
-                        op,
-                        slot,
-                        activation: a,
-                    },
-                );
-            }
+                timing.arrival + timing.recv_cpu
+            };
+            self.schedule_data(at, dest, op, slot, a);
         }
         if hash > 0 {
             self.recover_hash(op, from, hash, lose, &survivors);
@@ -380,15 +354,8 @@ impl<'a> QueueEngine<'a> {
                 // Rebuild: fresh build input beyond the original stream.
                 self.ops[op].input_sent += chunk;
                 let a = Activation::data(local, chunk).for_query(lane as u32);
-                self.calendar.schedule_at(
-                    now,
-                    Event::Data {
-                        node: dest,
-                        op,
-                        slot: unit as usize % self.threads_per_node,
-                        activation: a,
-                    },
-                );
+                let slot = unit as usize % self.threads_per_node;
+                self.schedule_data(now, dest, op, slot, a);
             } else {
                 let bytes = self.cost.hash_table_bytes(chunk).max(CONTROL_MESSAGE_BYTES);
                 self.faults.rebalance_bytes += bytes;
@@ -417,9 +384,7 @@ impl<'a> QueueEngine<'a> {
         self.live_ops.insert(op);
         let lane = self.ops[op].lane;
         self.lanes[lane].ops_terminated -= 1;
-        self.ops[op].phase1_reports = 0;
-        self.ops[op].phase2_started = false;
-        self.ops[op].phase2_confirms = 0;
+        self.ops[op].restart_end_detection();
         for h in 0..self.ops[op].home.len() {
             let node = self.ops[op].home[h].index();
             if let Some(opn) = self.op_nodes[op][node].as_mut() {

@@ -4,10 +4,6 @@
 use super::*;
 
 impl<'a> QueueEngine<'a> {
-    // ----------------------------------------------------------------- //
-    // Thread scheduling
-    // ----------------------------------------------------------------- //
-
     fn thread_may_process(&self, node: usize, thread: usize, op: usize) -> bool {
         match &self.allowed[node][thread] {
             None => true,

@@ -4,10 +4,6 @@
 use super::*;
 
 impl<'a> QueueEngine<'a> {
-    // ----------------------------------------------------------------- //
-    // Global load balancing (§3.2)
-    // ----------------------------------------------------------------- //
-
     pub(super) fn request_global_work(&mut self, node: usize, thread: usize) {
         if self.nodes <= 1 || self.ops_terminated == self.ops.len() {
             return;
@@ -38,11 +34,7 @@ impl<'a> QueueEngine<'a> {
                 // thread's allowed set in place (no per-episode collection).
                 let chosen = self.allowed[node][thread].as_ref().and_then(|set| {
                     set.iter().find(|&op| {
-                        self.ops[op].kind.is_probe()
-                            && self.lanes[self.ops[op].lane].started
-                            && !self.ops[op].terminated
-                            && self.ops[op].blockers_remaining == 0
-                            && !self.node_lb[node].fp_outstanding.contains(&op)
+                        self.stealable(op) && !self.node_lb[node].fp_outstanding.contains(&op)
                     })
                 });
                 if let Some(op) = chosen {
@@ -90,7 +82,6 @@ impl<'a> QueueEngine<'a> {
                 self.send_control(
                     node,
                     other,
-                    CONTROL_MESSAGE_BYTES,
                     ControlMsg::Starving {
                         from: node,
                         free_bytes: free,
@@ -114,6 +105,16 @@ impl<'a> QueueEngine<'a> {
             .sum()
     }
 
+    /// Whether `op` holds work that may move: a probe of a started lane,
+    /// neither terminated nor blocked.
+    fn stealable(&self, op: usize) -> bool {
+        let o = &self.ops[op];
+        o.kind.is_probe()
+            && self.lanes[o.lane].started
+            && !o.terminated
+            && o.blockers_remaining == 0
+    }
+
     /// Evaluates one operator as a steal candidate for `requester`
     /// (conditions (i)–(vi) of §3.2): only unblocked, non-terminated probe
     /// work whose home includes the requester moves, it must clear the
@@ -127,12 +128,7 @@ impl<'a> QueueEngine<'a> {
         requester: usize,
         free_bytes: u64,
     ) -> Option<(usize, u64, u64, f64)> {
-        if !self.ops[op].kind.is_probe()
-            || !self.lanes[self.ops[op].lane].started
-            || self.ops[op].terminated
-            || self.ops[op].blockers_remaining > 0
-            || !self.ops[op].home.contains(&NodeId::from(requester))
-        {
+        if !self.stealable(op) || !self.ops[op].home.contains(&NodeId::from(requester)) {
             return None;
         }
         let opn = self.op_nodes[op][node].as_ref()?;
@@ -146,17 +142,46 @@ impl<'a> QueueEngine<'a> {
         }
         // The requester must copy this node's hash-table partition for
         // the probed join (conservatively assumed not yet copied).
-        let hash_bytes = self.ops[op]
-            .build_twin
-            .and_then(|b| self.op_nodes[b][node].as_ref())
-            .map(|b| self.cost.hash_table_bytes(b.hash_tuples))
-            .unwrap_or(0);
-        let bytes = self.config.costs.bytes_for_tuples(steal_tuples) + hash_bytes;
+        let bytes =
+            self.config.costs.bytes_for_tuples(steal_tuples) + self.probed_table_bytes(op, node);
         if bytes > free_bytes {
             return None;
         }
         let ratio = steal_tuples as f64 / bytes.max(1) as f64;
         Some((op, steal_tuples, bytes, ratio))
+    }
+
+    /// The best steal candidate of `node` for `requester` among the live
+    /// operators: the highest tuples-per-byte ratio, the lowest index on
+    /// ties. The bitset walk visits the non-terminated slots in ascending
+    /// index order — the same candidates, in the same order, as a full
+    /// `0..ops.len()` scan.
+    pub(super) fn best_steal_candidate(
+        &self,
+        node: usize,
+        requester: usize,
+        free_bytes: u64,
+    ) -> Option<(usize, u64, u64, f64)> {
+        let mut best: Option<(usize, u64, u64, f64)> = None;
+        for op in self.live_ops.iter() {
+            let Some(candidate) = self.steal_candidate(op, node, requester, free_bytes) else {
+                continue;
+            };
+            if best.map(|(_, _, _, r)| candidate.3 > r).unwrap_or(true) {
+                best = Some(candidate);
+            }
+        }
+        best
+    }
+
+    /// The size of `node`'s partition of the hash table that `op` probes; 0
+    /// for an operator that probes none.
+    fn probed_table_bytes(&self, op: usize, node: usize) -> u64 {
+        self.ops[op]
+            .build_twin
+            .and_then(|b| self.op_nodes[b][node].as_ref())
+            .map(|b| self.cost.hash_table_bytes(b.hash_tuples))
+            .unwrap_or(0)
     }
 
     /// A provider node looks for a candidate queue to off-load (conditions
@@ -172,30 +197,16 @@ impl<'a> QueueEngine<'a> {
         epoch: u64,
         token: u64,
     ) {
-        let mut best: Option<(usize, u64, u64, f64)> = None; // (op, tuples, bytes, ratio)
-        match target {
+        let best = match target {
             // Open mode: the targeted slot was recycled while the request was
             // in flight — the new occupant's work must not be offered under
             // the stale id. An empty candidate set still yields a NoOffer
             // reply, so the requester's reply counting stays intact.
-            Some(op) if self.epochs[op] != epoch => {}
-            Some(op) => best = self.steal_candidate(op, node, requester, free_bytes),
-            // DP considers every live operator: the bitset walk visits the
-            // non-terminated slots in ascending index order — the same
-            // candidates, in the same order, as the full `0..ops.len()`
-            // scan it replaces.
-            None => {
-                for op in self.live_ops.iter() {
-                    let Some(candidate) = self.steal_candidate(op, node, requester, free_bytes)
-                    else {
-                        continue;
-                    };
-                    if best.map(|(_, _, _, r)| candidate.3 > r).unwrap_or(true) {
-                        best = Some(candidate);
-                    }
-                }
-            }
-        }
+            Some(op) if self.epochs[op] != epoch => None,
+            Some(op) => self.steal_candidate(op, node, requester, free_bytes),
+            // DP considers every live operator.
+            None => self.best_steal_candidate(node, requester, free_bytes),
+        };
 
         let load = self.node_load(node);
 
@@ -203,7 +214,6 @@ impl<'a> QueueEngine<'a> {
             Some((op, tuples, bytes, _)) => self.send_control(
                 node,
                 requester,
-                CONTROL_MESSAGE_BYTES,
                 ControlMsg::Offer {
                     from: node,
                     op,
@@ -214,12 +224,7 @@ impl<'a> QueueEngine<'a> {
                     token,
                 },
             ),
-            None => self.send_control(
-                node,
-                requester,
-                CONTROL_MESSAGE_BYTES,
-                ControlMsg::NoOffer { from: node, token },
-            ),
+            None => self.send_control(node, requester, ControlMsg::NoOffer { token }),
         }
     }
 
@@ -257,19 +262,13 @@ impl<'a> QueueEngine<'a> {
                 .unwrap_or(false)
         };
         let offers = std::mem::take(&mut self.node_lb[node].offers);
-        let chosen = if self.prefers_cached {
-            offers
-                .iter()
-                .filter(|(provider, op, _, _, _, _)| table_cached(*provider, *op))
-                .max_by_key(|(_, _, _, _, load, _)| *load)
-                .or_else(|| offers.iter().max_by_key(|(_, _, _, _, load, _)| *load))
-                .copied()
-        } else {
-            offers
-                .iter()
-                .max_by_key(|(_, _, _, _, load, _)| *load)
-                .copied()
-        };
+        let load = |&&(_, _, _, _, load, _): &&OfferEntry| load;
+        let chosen = offers
+            .iter()
+            .filter(|&&(provider, op, ..)| self.prefers_cached && table_cached(provider, op))
+            .max_by_key(load)
+            .or_else(|| offers.iter().max_by_key(load))
+            .copied();
         match chosen {
             None => {
                 // Nothing to acquire; clear the outstanding flags so a later
@@ -282,7 +281,6 @@ impl<'a> QueueEngine<'a> {
                 self.send_control(
                     node,
                     provider,
-                    CONTROL_MESSAGE_BYTES,
                     ControlMsg::Acquire {
                         from: node,
                         op,
@@ -312,7 +310,6 @@ impl<'a> QueueEngine<'a> {
             self.send_control(
                 node,
                 requester,
-                CONTROL_MESSAGE_BYTES,
                 ControlMsg::Transfer {
                     from: node,
                     op,
@@ -324,7 +321,6 @@ impl<'a> QueueEngine<'a> {
         }
         let mut shipped: Vec<Activation> = Vec::new();
         let mut shipped_tuples = 0u64;
-        let mut hash_bytes = 0u64;
         if let Some(opn) = self.op_nodes[op][node].as_mut() {
             let total: usize = opn.queued_activations();
             let take = ((total as f64) * self.options.steal.fraction).ceil() as usize;
@@ -373,13 +369,11 @@ impl<'a> QueueEngine<'a> {
                 self.ready[node].remove(op);
             }
         }
-        if !has_table {
-            hash_bytes = self.ops[op]
-                .build_twin
-                .and_then(|b| self.op_nodes[b][node].as_ref())
-                .map(|b| self.cost.hash_table_bytes(b.hash_tuples))
-                .unwrap_or(0);
-        }
+        let hash_bytes = if has_table {
+            0
+        } else {
+            self.probed_table_bytes(op, node)
+        };
         let tuple_bytes: u64 = self.config.costs.bytes_for_tuples(shipped_tuples);
         let bytes = (tuple_bytes + hash_bytes).max(CONTROL_MESSAGE_BYTES);
         self.lb_bytes += bytes;
@@ -389,7 +383,6 @@ impl<'a> QueueEngine<'a> {
         self.send_control(
             node,
             requester,
-            bytes,
             ControlMsg::Transfer {
                 from: node,
                 op,
@@ -407,7 +400,6 @@ impl<'a> QueueEngine<'a> {
         provider: usize,
         op: usize,
         activations: Vec<Activation>,
-        _bytes: u64,
     ) {
         self.node_lb[node].starving_outstanding = false;
         self.node_lb[node].fp_outstanding.remove(&op);

@@ -3,16 +3,28 @@
 
 use super::*;
 
+impl ControlMsg {
+    /// The message's size on the wire: a shipment's bytes, and
+    /// [`CONTROL_MESSAGE_BYTES`] for every other message.
+    fn bytes(&self) -> u64 {
+        match self {
+            ControlMsg::Transfer { bytes, .. } => *bytes,
+            _ => CONTROL_MESSAGE_BYTES,
+        }
+    }
+}
+
 impl<'a> QueueEngine<'a> {
     // ----------------------------------------------------------------- //
     // Control messages (scheduler)
     // ----------------------------------------------------------------- //
 
-    pub(super) fn send_control(&mut self, from: usize, to: usize, bytes: u64, msg: ControlMsg) {
+    /// Sends `msg` from node `from` to node `to` over the interconnect.
+    pub(super) fn send_control(&mut self, from: usize, to: usize, msg: ControlMsg) {
         let now = self.calendar.now();
         let timing = self
             .network
-            .send(NodeId::from(from), NodeId::from(to), bytes, now);
+            .send(NodeId::from(from), NodeId::from(to), msg.bytes(), now);
         self.calendar.schedule_at(
             timing.arrival + timing.recv_cpu,
             Event::Control { node: to, msg },
@@ -36,12 +48,7 @@ impl<'a> QueueEngine<'a> {
                     self.ops[op].phase2_started = true;
                     for h in 0..self.ops[op].home.len() {
                         let home_node = self.ops[op].home[h].index();
-                        self.send_control(
-                            node,
-                            home_node,
-                            CONTROL_MESSAGE_BYTES,
-                            ControlMsg::ConfirmRequest { op },
-                        );
+                        self.send_control(node, home_node, ControlMsg::ConfirmRequest { op });
                     }
                 }
             }
@@ -56,12 +63,7 @@ impl<'a> QueueEngine<'a> {
                         .map(|o| std::mem::replace(&mut o.confirm_sent, true))
                         .unwrap_or(false);
                     if !already {
-                        self.send_control(
-                            node,
-                            self.coordinator(),
-                            CONTROL_MESSAGE_BYTES,
-                            ControlMsg::Confirm { op },
-                        );
+                        self.send_control(node, self.coordinator(), ControlMsg::Confirm { op });
                     }
                 } else if let Some(opn) = self.op_nodes[op][node].as_mut() {
                     opn.confirm_pending = true;
@@ -91,10 +93,7 @@ impl<'a> QueueEngine<'a> {
                 epoch,
                 token,
             } => self.on_offer(node, token, Some((from, op, tuples, bytes, load, epoch))),
-            ControlMsg::NoOffer { from, token } => {
-                let _ = from;
-                self.on_offer(node, token, None)
-            }
+            ControlMsg::NoOffer { token } => self.on_offer(node, token, None),
             ControlMsg::Acquire {
                 from,
                 op,
@@ -105,8 +104,8 @@ impl<'a> QueueEngine<'a> {
                 from,
                 op,
                 activations,
-                bytes,
-            } => self.on_transfer(node, from, op, activations, bytes),
+                ..
+            } => self.on_transfer(node, from, op, activations),
             ControlMsg::PushProbe { from, token } => self.on_push_probe(node, from, token),
             ControlMsg::PushReply {
                 from,
@@ -149,27 +148,25 @@ impl<'a> QueueEngine<'a> {
         (local_end, confirm)
     }
 
+    /// Runs [`Self::check_local_end`] for `op` on every node in ascending
+    /// order, home or not.
+    pub(super) fn check_local_end_everywhere(&mut self, op: usize) {
+        for node in 0..self.nodes {
+            self.check_local_end(op, node);
+        }
+    }
+
     pub(super) fn check_local_end(&mut self, op: usize, node: usize) {
         let (local_end, confirm) = self.local_end_actions(op, node);
         if local_end {
             self.op_nodes[op][node].as_mut().unwrap().phase1_sent = true;
-            self.send_control(
-                node,
-                self.coordinator(),
-                CONTROL_MESSAGE_BYTES,
-                ControlMsg::LocalEnd { op },
-            );
+            self.send_control(node, self.coordinator(), ControlMsg::LocalEnd { op });
         }
         if confirm {
             let opn = self.op_nodes[op][node].as_mut().unwrap();
             opn.confirm_pending = false;
             opn.confirm_sent = true;
-            self.send_control(
-                node,
-                self.coordinator(),
-                CONTROL_MESSAGE_BYTES,
-                ControlMsg::Confirm { op },
-            );
+            self.send_control(node, self.coordinator(), ControlMsg::Confirm { op });
         }
     }
 
@@ -254,12 +251,7 @@ impl<'a> QueueEngine<'a> {
         // Accounting broadcast (the 4th message round of the protocol).
         for h in 0..self.ops[op].home.len() {
             let home_node = self.ops[op].home[h].index();
-            self.send_control(
-                self.coordinator(),
-                home_node,
-                CONTROL_MESSAGE_BYTES,
-                ControlMsg::Terminated { op },
-            );
+            self.send_control(self.coordinator(), home_node, ControlMsg::Terminated { op });
         }
 
         // Unblock dependent operators of the same query and wake their nodes.

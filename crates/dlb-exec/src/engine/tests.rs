@@ -880,17 +880,11 @@ fn open_live_state_is_bounded_by_concurrency_at_10k_queries() {
         concurrency,
         frontend: FrontendConfig::default(),
     };
-    let mut engine = QueueEngine::new(
-        LaneSource::Open(&traffic),
-        config,
-        Strategy::dynamic(),
-        opts,
-    )
-    .unwrap();
+    let (mut engine, mut open) =
+        QueueEngine::open_run(&traffic, config, Strategy::dynamic(), opts).unwrap();
     // Op state is O(concurrency × max_ops) by construction, not O(total).
     assert_eq!(engine.ops.len(), concurrency * 4);
-    engine.run_loop().unwrap();
-    let open = engine.open.as_ref().unwrap();
+    engine.run_open_loop(&mut open).unwrap();
     assert_eq!(open.completed, 10_000);
     assert_eq!(open.response.count(), 10_000);
     assert!(
@@ -1190,8 +1184,8 @@ fn installed_producers_match_the_plan() {
         concurrency: 1,
         frontend: FrontendConfig::default(),
     };
-    let mut engine = QueueEngine::new(
-        LaneSource::Open(&traffic),
+    let (mut engine, mut open) = QueueEngine::open_run(
+        &traffic,
         config,
         Strategy::dynamic(),
         ExecOptions::default(),
@@ -1199,8 +1193,7 @@ fn installed_producers_match_the_plan() {
     .unwrap();
     let mut recycled = 0;
     while let Some((_, event)) = engine.calendar.pop() {
-        engine.dispatch(event).unwrap();
-        let open = engine.open.as_ref().unwrap();
+        engine.dispatch_open(event, &mut open).unwrap();
         if open.completed > recycled && engine.lanes[0].started {
             recycled = open.completed;
             assert_producers_match_plan(&engine);
@@ -1363,8 +1356,8 @@ fn open_stall_error_counts_only_in_use_slots() {
         concurrency: 4,
         frontend: FrontendConfig::default(),
     };
-    let mut engine = QueueEngine::new(
-        LaneSource::Open(&traffic),
+    let (mut engine, mut open) = QueueEngine::open_run(
+        &traffic,
         config,
         Strategy::dynamic(),
         ExecOptions::default(),
@@ -1373,12 +1366,12 @@ fn open_stall_error_counts_only_in_use_slots() {
     // Run up to the first admission, then drop everything else.
     while !engine.lanes.iter().any(|l| l.started) {
         let (_, event) = engine.calendar.pop().unwrap();
-        engine.dispatch(event).unwrap();
+        engine.dispatch_open(event, &mut open).unwrap();
     }
     while engine.calendar.pop().is_some() {}
     let n_ops = plan.tree.operators().len();
     assert!(engine.ops.len() > n_ops);
-    let msg = engine.run_loop().unwrap_err().to_string();
+    let msg = engine.run_open_loop(&mut open).unwrap_err().to_string();
     assert!(
         msg.contains(&format!(
             "simulation stalled: 0 of {n_ops} operators terminated"
