@@ -8,14 +8,13 @@
 //! can be overridden for sensitivity studies.
 
 use crate::time::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Page size used throughout the system (bytes). The paper charges network
 /// CPU cost per 8 KB message and uses 8 KB pages for I/O.
 pub const PAGE_SIZE_BYTES: u64 = 8 * 1024;
 
 /// CPU characteristics of one processor of an SM-node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuParams {
     /// Processor speed in millions of instructions per second.
     /// The KSR1 processors of the paper are 40 MIPS.
@@ -37,7 +36,7 @@ impl CpuParams {
 }
 
 /// Interconnection-network parameters (paper §5.1.1, first table).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkParams {
     /// Network bandwidth in bytes per second. `None` models the paper's
     /// "infinite" bandwidth assumption (transmission time is negligible
@@ -88,7 +87,7 @@ impl NetworkParams {
 }
 
 /// Disk parameters (paper §5.1.1, second table).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskParams {
     /// Number of disks attached to each processor.
     pub disks_per_processor: u32,
@@ -132,7 +131,7 @@ impl DiskParams {
 
 /// Shape of the simulated hierarchical machine: how many SM-nodes and how many
 /// processors (and disks) per node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineConfig {
     /// Number of shared-memory nodes.
     pub nodes: u32,
@@ -191,7 +190,7 @@ impl MachineConfig {
 /// (Mehta '95, Shekita '93): a few hundred instructions per tuple per
 /// operation on a 40 MIPS processor. `EXPERIMENTS.md` shows the figure shapes
 /// are robust to ±2× changes of these values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostConstants {
     /// Bytes per tuple (used to convert cardinalities into pages and bytes).
     pub tuple_bytes: u64,
@@ -259,7 +258,7 @@ impl CostConstants {
 
 /// Complete configuration of one simulated system: machine shape, hardware
 /// parameters and cost constants.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SystemConfig {
     /// Machine shape (nodes × processors).
     pub machine: MachineConfig,

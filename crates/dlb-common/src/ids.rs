@@ -7,14 +7,13 @@
 //! self-documenting and prevents the classic "swapped the node id and the
 //! processor id" class of bugs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
         #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
         )]
         pub struct $name(pub u32);
 
@@ -80,7 +79,7 @@ id_type!(
 ///
 /// Processors are local to a node: `ProcessorId { node: 1, local: 3 }` is the
 /// fourth processor of the second SM-node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessorId {
     /// The SM-node owning the processor.
     pub node: NodeId,
@@ -104,7 +103,7 @@ impl fmt::Display for ProcessorId {
 /// Identifier of a worker thread. The execution model allocates exactly one
 /// worker thread per processor per query, so a thread identifier mirrors a
 /// [`ProcessorId`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ThreadId {
     /// The SM-node owning the thread.
     pub node: NodeId,
@@ -137,7 +136,7 @@ impl fmt::Display for ThreadId {
 ///
 /// The evaluation configuration of the paper attaches one disk per processor,
 /// but the storage layer supports any number of disks per node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DiskId {
     /// The SM-node owning the disk.
     pub node: NodeId,

@@ -1,12 +1,11 @@
 //! A minimal JSON document model, parser and writer.
 //!
-//! The workspace's `serde` is an offline no-op shim (see `crates/shims/`), so
-//! anything that must actually round-trip through text — scenario spec files,
-//! machine-readable result emission — goes through this module instead. The
-//! model is deliberately small: a [`Json`] tree, a strict recursive-descent
-//! [`Json::parse`], and a deterministic writer ([`Json::pretty`] /
-//! `Display`). Object member order is preserved, so writing a parsed document
-//! reproduces it structurally.
+//! The workspace has no serialization framework: anything that must
+//! round-trip through text — scenario spec files, machine-readable result
+//! emission — goes through this module. The model is deliberately small: a
+//! [`Json`] tree, a strict recursive-descent [`Json::parse`], and a
+//! deterministic writer ([`Json::pretty`] / `Display`). Object member order
+//! is preserved, so writing a parsed document reproduces it structurally.
 //!
 //! Numbers are kept as either [`Json::Int`] (no decimal point or exponent in
 //! the source) or [`Json::Float`]; the numeric accessors coerce between the

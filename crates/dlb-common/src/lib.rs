@@ -19,8 +19,8 @@
 //!   ([`round`]),
 //! * dense index sets ([`bitset`]) and a stable-key arena ([`slab`]) for the
 //!   engine's allocation-free hot paths,
-//! * a minimal JSON model, parser and writer ([`json`]) — the real `serde`
-//!   is unavailable offline, so textual round-trips go through this,
+//! * a minimal JSON model, parser and writer ([`json`]), through which every
+//!   textual round-trip goes,
 //! * the workspace error type ([`error`]).
 
 #![warn(missing_docs)]

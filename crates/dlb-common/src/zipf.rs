@@ -6,8 +6,6 @@
 //! (high skew). The same generator is reused for attribute-value and tuple
 //! placement skew when populating relation partitions.
 
-use serde::{Deserialize, Serialize};
-
 /// A discrete Zipf-like distribution over `n` items with skew factor
 /// `theta ∈ [0, 1]`.
 ///
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// `theta = 0` every item has weight `1/n` (uniform); with `theta = 1` the
 /// weights follow the classical Zipf law where the first item receives a
 /// share proportional to `1 / H_n`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ZipfDistribution {
     theta: f64,
     weights: Vec<f64>,

@@ -40,14 +40,12 @@ use dlb_query::cost::CostModel;
 use dlb_query::generator::WorkloadParams;
 use dlb_query::plan::ParallelPlan;
 use dlb_traffic::ArrivalSpec;
-use parking_lot::Mutex;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The report of one plan execution within an experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanRun {
     /// Index of the plan within the workload.
     pub plan_index: usize,
@@ -336,27 +334,27 @@ impl RunCache {
     ///
     /// [`mix_len`]: RunCache::mix_len
     pub fn len(&self) -> usize {
-        self.map.lock().len()
+        lock(&self.map).len()
     }
 
     /// Number of cached inter-query mix runs.
     pub fn mix_len(&self) -> usize {
-        self.mix.lock().len()
+        lock(&self.mix).len()
     }
 
     /// Number of cached open-system runs.
     pub fn open_len(&self) -> usize {
-        self.open.lock().len()
+        lock(&self.open).len()
     }
 
     /// True when nothing is cached yet.
     pub fn is_empty(&self) -> bool {
-        self.map.lock().is_empty() && self.mix.lock().is_empty() && self.open.lock().is_empty()
+        lock(&self.map).is_empty() && lock(&self.mix).is_empty() && lock(&self.open).is_empty()
     }
 
     /// Looks up a cached run.
     pub fn get(&self, key: &RunKey) -> Option<Arc<Vec<PlanRun>>> {
-        self.map.lock().get(key).map(Arc::clone)
+        lock(&self.map).get(key).map(Arc::clone)
     }
 
     /// Inserts `runs` unless the key is already present, returning the cached
@@ -364,13 +362,13 @@ impl RunCache {
     /// caller shares one allocation, preserving the `Arc::ptr_eq` cache-hit
     /// contract even under concurrent runs.
     pub fn insert_or_get(&self, key: RunKey, runs: Arc<Vec<PlanRun>>) -> Arc<Vec<PlanRun>> {
-        let mut map = self.map.lock();
+        let mut map = lock(&self.map);
         Arc::clone(map.entry(key).or_insert(runs))
     }
 
     /// Looks up a cached mix run.
     pub fn get_mix(&self, key: &RunKey) -> Option<Arc<MixRun>> {
-        self.mix.lock().get(key).map(Arc::clone)
+        lock(&self.mix).get(key).map(Arc::clone)
     }
 
     /// Inserts a mix run unless the key is already present, returning the
@@ -379,13 +377,13 @@ impl RunCache {
     ///
     /// [`insert_or_get`]: RunCache::insert_or_get
     pub fn insert_or_get_mix(&self, key: RunKey, run: Arc<MixRun>) -> Arc<MixRun> {
-        let mut map = self.mix.lock();
+        let mut map = lock(&self.mix);
         Arc::clone(map.entry(key).or_insert(run))
     }
 
     /// Looks up a cached open-system run.
     pub fn get_open(&self, key: &RunKey) -> Option<Arc<OpenRun>> {
-        self.open.lock().get(key).map(Arc::clone)
+        lock(&self.open).get(key).map(Arc::clone)
     }
 
     /// Inserts an open-system run unless the key is already present,
@@ -394,9 +392,16 @@ impl RunCache {
     ///
     /// [`insert_or_get`]: RunCache::insert_or_get
     pub fn insert_or_get_open(&self, key: RunKey, run: Arc<OpenRun>) -> Arc<OpenRun> {
-        let mut map = self.open.lock();
+        let mut map = lock(&self.open);
         Arc::clone(map.entry(key).or_insert(run))
     }
+}
+
+/// Locks one of the cache's maps. Each insert is a single `entry` call, so a
+/// panic in another thread holding the lock leaves the map whole: a poisoned
+/// lock is taken over instead of propagating the panic.
+fn lock<T>(map: &Mutex<T>) -> MutexGuard<'_, T> {
+    map.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Pins the number of worker threads used by [`Experiment::run`] (0 =

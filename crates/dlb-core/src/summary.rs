@@ -13,7 +13,6 @@
 
 use crate::experiment::PlanRun;
 use dlb_common::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Mean of per-plan response-time ratios of `runs` against `reference`
 /// (the paper's relative-performance metric; 1.0 = identical, > 1.0 = slower
@@ -49,7 +48,7 @@ pub fn speedup(runs: &[PlanRun], baseline: &[PlanRun]) -> f64 {
 }
 
 /// Aggregate statistics of one experiment run (one strategy on one machine).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     /// Number of plans executed.
     pub plans: usize,

@@ -4,12 +4,11 @@ use dlb_common::config::{CostConstants, CpuParams, DiskParams, NetworkParams, Sy
 use dlb_common::Result;
 use dlb_exec::{ExecOptions, ExecutionReport, Strategy};
 use dlb_query::plan::ParallelPlan;
-use serde::{Deserialize, Serialize};
 
 /// A simulated hierarchical parallel database system: a shared-nothing set of
 /// shared-memory multiprocessor nodes (SM-nodes) with the paper's hardware
 /// parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HierarchicalSystem {
     config: SystemConfig,
     options: ExecOptions,

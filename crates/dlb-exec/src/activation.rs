@@ -16,11 +16,10 @@
 //! (operator, thread) pair, and queue sizes are bounded for flow control.
 
 use dlb_common::{DiskId, OperatorId};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// The payload of an activation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ActivationKind {
     /// Start a scan over `pages` pages holding `tuples` tuples, resident on
     /// `disk`.
@@ -35,7 +34,7 @@ pub enum ActivationKind {
 }
 
 /// A self-contained unit of sequential work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Activation {
     /// The operator (within its query's plan) that must process this
     /// activation.
@@ -88,7 +87,7 @@ impl Activation {
 }
 
 /// Accounting of one [`ActivationQueue::drain_into`] call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DrainOutcome {
     /// Number of activations moved out of the queue.
     pub count: usize,
@@ -97,7 +96,7 @@ pub struct DrainOutcome {
 }
 
 /// A bounded activation queue (one per operator per thread).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ActivationQueue {
     items: VecDeque<Activation>,
     capacity: usize,

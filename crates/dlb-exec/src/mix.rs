@@ -32,7 +32,6 @@
 //! ([`QueryOutcome`]) and the aggregate metrics the scenario layer renders.
 
 use dlb_common::{DlbError, Result};
-use serde::{Deserialize, Serialize};
 
 /// How an inter-query mix is evaluated.
 ///
@@ -45,7 +44,7 @@ use serde::{Deserialize, Serialize};
 /// activations in one event loop, so queue contention, flow control,
 /// cross-query steal traffic and admission serialization are simulated
 /// rather than modeled.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum MixMode {
     /// Compose engine-measured **solo** runs with priority-weighted
     /// processor sharing and per-node memory admission (the analytic model
@@ -85,7 +84,7 @@ impl MixMode {
 }
 
 /// Admission / placement policy of an inter-query mix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MixPolicy {
     /// First come, first served onto the *whole* machine: every admitted
     /// query spreads over all SM-nodes and time-shares them with every other
@@ -143,7 +142,7 @@ pub struct MixJob {
 }
 
 /// The scheduler's verdict on one query of the mix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryOutcome {
     /// Index of the query within the mix.
     pub query: usize,
@@ -168,7 +167,7 @@ pub struct QueryOutcome {
 
 /// The outcome of scheduling one mix: per-query outcomes plus the aggregate
 /// response-time metrics of the paper-style evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixSchedule {
     /// The policy that produced this schedule.
     pub policy: MixPolicy,

@@ -9,11 +9,10 @@
 //! cover the common single-knob experiments.
 
 use dlb_storage::RehomePolicy;
-use serde::{Deserialize, Serialize};
 
 /// Flow control of the activation pipeline (§3.1): how much work is buffered
 /// between producers and consumers, and how coarse trigger activations are.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowControl {
     /// Capacity of each activation queue, in activations (0 = unbounded).
     /// Bounded queues provide the flow control of §3.1.
@@ -35,7 +34,7 @@ impl Default for FlowControl {
 /// Shared-memory interference model: beyond a processor-count threshold,
 /// per-instruction throughput degrades linearly (the KSR1 memory-hierarchy
 /// effect visible beyond 32 processors in Figure 8).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContentionModel {
     /// Number of processors per node beyond which shared-memory interference
     /// starts to degrade per-instruction throughput (0 disables the model).
@@ -76,7 +75,7 @@ impl ContentionModel {
 /// understates the damage of a systematically wrong estimate. The paper
 /// reading ([`ErrorRealization::Shared`]) is the default; the historical
 /// behaviour stays available as [`ErrorRealization::PerNode`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ErrorRealization {
     /// One distorted complexity estimate per operator, reused by every node
     /// (the paper's reading — an optimizer mis-estimates a cardinality once,
@@ -112,7 +111,7 @@ impl ErrorRealization {
 
 /// Tuning of the global load-balancing acquisition (§3.2): when a starving
 /// node steals work, how much a provider must hold and how much is taken.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StealPolicy {
     /// Minimum number of tuples a remote queue must hold to be a candidate
     /// for global load balancing (condition (ii) of §3.2: enough work to
@@ -134,7 +133,7 @@ impl Default for StealPolicy {
 
 /// How work that lived on a failed node is recovered (fault injection of the
 /// co-simulated engine; see [`crate::engine::execute_cosimulated_faulted`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RecoveryPolicy {
     /// **Re-home and resume**: the dead node's queued activations and built
     /// hash-table partitions are shipped over the interconnect to surviving
@@ -176,7 +175,7 @@ impl RecoveryPolicy {
 /// state, and how its contents map onto the survivors. Only consulted when a
 /// co-simulated run carries topology events; a run without them never reads
 /// these knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct RecoveryOptions {
     /// Lose-and-restart vs re-home-and-resume.
     pub policy: RecoveryPolicy,
@@ -187,7 +186,7 @@ pub struct RecoveryOptions {
 
 /// Tunable options of an execution run: the per-run scalars (skew, seed) plus
 /// the composable option groups.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecOptions {
     /// Redistribution-skew factor (Zipf theta in `[0, 1]`) applied to the
     /// production of trigger activations and of pipelined tuples (§5.2.2).

@@ -15,10 +15,9 @@ use crate::strategy::Strategy;
 use dlb_common::{Duration, NodeId};
 use dlb_frontend::FrontendStats;
 use dlb_traffic::{LatencyHistogram, LatencySummary};
-use serde::{Deserialize, Serialize};
 
 /// The outcome of executing one parallel plan on one simulated machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionReport {
     /// Strategy that produced this report (the one labeling source of truth
     /// for benchmark and rendering output — see [`Strategy::label`]).
@@ -108,7 +107,7 @@ impl ExecutionReport {
 /// Per-query accounting of one co-simulated multi-query execution: what one
 /// query of the mix experienced while interleaved with the others in the
 /// shared event loop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryExecReport {
     /// Index of the query within the co-simulated mix.
     pub query: usize,
@@ -136,7 +135,7 @@ pub struct QueryExecReport {
 /// Degradation accounting of a faulted co-simulated run: what the injected
 /// topology events cost, summed over all events of the stream. All counters
 /// stay zero for a run without topology events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultStats {
     /// Node failures applied.
     pub failures: u64,
@@ -163,7 +162,7 @@ pub struct FaultStats {
 /// The outcome of one co-simulated multi-query execution: the machine-wide
 /// aggregate (busy time, network traffic, load balancing — summed over all
 /// interleaved queries) plus the per-query breakdown.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoSimReport {
     /// Machine-wide counters; `response_time` spans mix start to the last
     /// query's completion (the makespan).

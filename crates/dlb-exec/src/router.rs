@@ -14,11 +14,10 @@
 //! converges to the Zipf weights exactly.
 
 use dlb_common::ZipfDistribution;
-use serde::{Deserialize, Serialize};
 
 /// Routes successive batches across a fixed set of slots so that the realized
 /// distribution follows a Zipf law of the given skew factor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OutputRouter {
     weights: Vec<f64>,
     assigned: Vec<u64>,

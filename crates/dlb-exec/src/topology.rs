@@ -13,10 +13,9 @@
 //! previously departed nodes, and the live set may never become empty.
 
 use dlb_common::{DlbError, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// What happens to a node at a topology event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TopologyChange {
     /// Crash failure: queued activations and operator state on the node are
     /// lost and recovered on the survivors per the recovery policy.
@@ -61,7 +60,7 @@ impl TopologyChange {
 }
 
 /// One scheduled change to the live node set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopologyEvent {
     /// Simulated time at which the change takes effect.
     pub at_secs: f64,

@@ -16,10 +16,9 @@ use dlb_common::config::{CostConstants, CpuParams, DiskParams};
 use dlb_common::rng::distort;
 use dlb_common::{round_u64, Duration};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Estimated work of one operator, split into CPU instructions and I/O time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OperatorCost {
     /// CPU instructions.
     pub instructions: u64,
@@ -44,7 +43,7 @@ impl OperatorCost {
 }
 
 /// The cost model: per-tuple constants plus hardware parameters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CostModel {
     /// Per-tuple cost constants.
     pub costs: CostConstants,

@@ -22,10 +22,9 @@ use dlb_common::{QueryId, RelationId};
 use dlb_storage::relation::{RelationDef, SizeClass};
 use rand::prelude::IndexedRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A generated multi-join query: its relations and predicate graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     /// Identifier of the query within its workload.
     pub id: QueryId,
@@ -53,7 +52,7 @@ impl Query {
 }
 
 /// Parameters of the workload generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadParams {
     /// Number of queries to generate (paper: 20).
     pub queries: usize,

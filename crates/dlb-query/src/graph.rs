@@ -8,11 +8,10 @@
 //! accepts arbitrary connected graphs.
 
 use dlb_common::{DlbError, RelationId, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// One join predicate between two relations, with its selectivity factor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JoinEdge {
     /// One endpoint.
     pub left: RelationId,
@@ -41,7 +40,7 @@ impl JoinEdge {
 }
 
 /// The predicate connection graph of one query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PredicateGraph {
     relations: Vec<RelationId>,
     edges: Vec<JoinEdge>,

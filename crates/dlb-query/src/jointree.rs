@@ -9,11 +9,10 @@
 //! larger one.
 
 use dlb_common::{round_u64, RelationId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A bushy join tree annotated with estimated cardinalities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JoinTree {
     /// A base relation scan.
     Leaf {

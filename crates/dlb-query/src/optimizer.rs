@@ -28,10 +28,9 @@ use crate::jointree::JoinTree;
 use dlb_common::rng::stream_rng;
 use dlb_common::{round_u64, DlbError, Result};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the optimizer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptimizerParams {
     /// Number of randomized candidates enumerated per query (in addition to
     /// the greedy candidate).

@@ -16,11 +16,10 @@
 
 use crate::jointree::JoinTree;
 use dlb_common::{OperatorId, PipelineChainId, RelationId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The kind of an atomic operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OperatorKind {
     /// Scan of a base relation.
     Scan {
@@ -66,7 +65,7 @@ impl OperatorKind {
 }
 
 /// Kind of a dataflow edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeKind {
     /// Tuples may be consumed one at a time as they are produced.
     Pipelinable,
@@ -75,7 +74,7 @@ pub enum EdgeKind {
 }
 
 /// One atomic operator of a parallel execution plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Operator {
     /// Identifier (index into the operator tree).
     pub id: OperatorId,
@@ -110,7 +109,7 @@ impl Operator {
 
 /// A maximum pipeline chain: operators executed in pipeline, listed from the
 /// leading scan to the terminating build (or root probe).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineChain {
     /// Identifier of the chain.
     pub id: PipelineChainId,
@@ -141,7 +140,7 @@ impl PipelineChain {
 }
 
 /// The operator tree produced by macro-expanding a join tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperatorTree {
     operators: Vec<Operator>,
     chains: Vec<PipelineChain>,

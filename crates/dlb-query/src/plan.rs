@@ -22,11 +22,10 @@ use crate::optree::{OperatorTree, PipelineChain};
 use dlb_common::{DlbError, NodeId, OperatorId, QueryId, Result};
 use dlb_storage::partition::RelationHome;
 use dlb_storage::Catalog;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// One precedence constraint: `after` cannot start before `before` ends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ScheduleConstraint {
     /// The operator that must terminate first.
     pub before: OperatorId,
@@ -35,7 +34,7 @@ pub struct ScheduleConstraint {
 }
 
 /// The home (set of SM-nodes) of every operator of a plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperatorHomes {
     homes: BTreeMap<u32, RelationHome>,
 }
@@ -123,7 +122,7 @@ impl OperatorHomes {
 }
 
 /// Scheduling policy for pipeline chains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChainScheduling {
     /// Heuristics 1 and 2: chains wait for their hash tables and run one at a
     /// time (the paper's evaluation assumption).
@@ -134,7 +133,7 @@ pub enum ChainScheduling {
 }
 
 /// A complete parallel execution plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParallelPlan {
     /// The query this plan answers.
     pub query: QueryId,

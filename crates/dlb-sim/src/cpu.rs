@@ -7,10 +7,9 @@
 //! time from the final response time.
 
 use dlb_common::{Duration, NodeId, ProcessorId, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Busy-time accounting for all processors of the machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CpuAccounting {
     processors_per_node: u32,
     busy: Vec<Duration>,

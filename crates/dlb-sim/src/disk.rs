@@ -16,7 +16,6 @@
 
 use dlb_common::config::DiskParams;
 use dlb_common::{DiskId, Duration, NodeId, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Result of issuing a disk request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +34,7 @@ impl DiskRequestOutcome {
 }
 
 /// Aggregate statistics of one disk.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskStats {
     /// Number of read requests serviced.
     pub requests: u64,

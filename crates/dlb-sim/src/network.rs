@@ -13,7 +13,6 @@
 
 use dlb_common::config::{CpuParams, NetworkParams};
 use dlb_common::{Duration, NodeId, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Timing of one message transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +30,7 @@ pub struct MessageTiming {
 }
 
 /// Traffic statistics, per direction and aggregated.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkStats {
     /// Total number of messages sent.
     pub messages: u64,

@@ -11,7 +11,6 @@
 //! this is the redistribution skew of §5.2.2.
 
 use dlb_common::{BucketId, ZipfDistribution};
-use serde::{Deserialize, Serialize};
 
 /// Default ratio between the degree of fragmentation and the degree of
 /// parallelism. The paper only states the degree of fragmentation should be
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 pub const DEFAULT_FRAGMENTATION_FACTOR: u32 = 8;
 
 /// Tuple counts per hash bucket.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BucketMap {
     tuples: Vec<u64>,
 }

@@ -3,12 +3,11 @@
 use crate::partition::{PartitionLayout, RelationHome};
 use crate::relation::RelationDef;
 use dlb_common::{DlbError, NodeId, RelationId, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The catalog of one database instance: every base relation with its
 /// definition and physical layout.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Catalog {
     relations: BTreeMap<u32, (RelationDef, PartitionLayout)>,
 }

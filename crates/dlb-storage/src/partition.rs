@@ -15,10 +15,9 @@
 use crate::relation::RelationDef;
 use dlb_common::config::CostConstants;
 use dlb_common::{DiskId, NodeId, ZipfDistribution};
-use serde::{Deserialize, Serialize};
 
 /// The set of SM-nodes holding partitions of a relation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelationHome {
     nodes: Vec<NodeId>,
 }
@@ -68,7 +67,7 @@ impl RelationHome {
 }
 
 /// Number of tuples of one relation stored on one node, split across disks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodePartition {
     /// Node holding this partition.
     pub node: NodeId,
@@ -90,7 +89,7 @@ impl NodePartition {
 
 /// The physical layout of one relation: how many tuples live on each node and
 /// disk of its home.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionLayout {
     home: RelationHome,
     partitions: Vec<NodePartition>,

@@ -21,10 +21,9 @@
 
 use crate::partition::{NodePartition, PartitionLayout};
 use dlb_common::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// How the contents of a departed node are redistributed over the survivors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RehomePolicy {
     /// Highest-random-weight (rendezvous) hashing: minimal movement across
     /// successive topology changes.

@@ -9,10 +9,9 @@
 use crate::tuple::Schema;
 use dlb_common::config::CostConstants;
 use dlb_common::RelationId;
-use serde::{Deserialize, Serialize};
 
 /// The three cardinality classes of the paper's workload generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SizeClass {
     /// 10 000 – 20 000 tuples.
     Small,
@@ -39,7 +38,7 @@ impl SizeClass {
 }
 
 /// Logical definition of a base relation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RelationDef {
     /// Identifier of the relation.
     pub id: RelationId,

@@ -6,11 +6,10 @@
 //! integration tests and the in-memory hash-join utilities), so this module
 //! provides a deliberately small schema/tuple/value model.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single attribute value.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Value {
     /// 64-bit integer value (join keys are integers throughout the paper's
     /// workload).
@@ -64,7 +63,7 @@ impl From<&str> for Value {
 }
 
 /// Description of the attributes of a relation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     attributes: Vec<String>,
 }
@@ -101,7 +100,7 @@ impl Schema {
 }
 
 /// A physical tuple: a flat vector of values matching a [`Schema`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Tuple {
     values: Vec<Value>,
 }
