@@ -3,6 +3,38 @@
 
 use super::*;
 
+impl<'a> Lanes<'a> for Closed {
+    /// Every operator terminated; the final lane's `QueryRelease` may be
+    /// left unprocessed.
+    fn is_done(&self, engine: &QueueEngine<'a>) -> bool {
+        engine.ops_terminated >= engine.ops.len()
+    }
+
+    /// A closed run schedules no arrivals.
+    fn on_arrival(&mut self, _engine: &mut QueueEngine<'a>) {}
+
+    fn on_release(&mut self, engine: &mut QueueEngine<'a>, lane: usize) {
+        engine.on_query_release(lane);
+    }
+}
+
+impl<'a> Lanes<'a> for OpenState<'a> {
+    /// The arrival stream is exhausted, the waiting room is empty and every
+    /// admitted query retired (its `QueryRelease` processed, so the final
+    /// latency samples are recorded and the final slot freed).
+    fn is_done(&self, _engine: &QueueEngine<'a>) -> bool {
+        self.upcoming.is_none() && self.pending.is_empty() && self.live_now == 0
+    }
+
+    fn on_arrival(&mut self, engine: &mut QueueEngine<'a>) {
+        engine.on_open_arrival(self);
+    }
+
+    fn on_release(&mut self, engine: &mut QueueEngine<'a>, lane: usize) {
+        engine.on_open_release(lane, self);
+    }
+}
+
 impl<'a> OpenState<'a> {
     /// The state of an open run over `traffic`, with the first arrival
     /// drawn.
@@ -43,14 +75,6 @@ impl<'a> OpenState<'a> {
             response_coalesced: LatencyHistogram::new(),
             front_finish: SimTime::ZERO,
         })
-    }
-
-    /// Whether the open run is complete: the arrival stream is exhausted,
-    /// the waiting room is empty and every admitted query retired (its
-    /// `QueryRelease` processed, so the final latency samples are recorded
-    /// and the final slot freed).
-    pub(super) fn is_done(&self) -> bool {
-        self.upcoming.is_none() && self.pending.is_empty() && self.live_now == 0
     }
 
     /// Records one completed query of `template` in the latency sketches:
@@ -205,7 +229,7 @@ impl<'a> QueueEngine<'a> {
 
     /// A query completed: free its working set, then admit every waiting
     /// lane that now fits.
-    pub(super) fn on_query_release(&mut self, lane: usize) {
+    fn on_query_release(&mut self, lane: usize) {
         if self.release_lane(lane) {
             self.admit_waiting();
         }
@@ -254,7 +278,7 @@ impl<'a> QueueEngine<'a> {
     /// The next query of the arrival stream arrives: unless the front end
     /// serves it, it enters the waiting room. The following arrival is
     /// drawn and scheduled (lazy, one ahead), and admission runs.
-    pub(super) fn on_open_arrival(&mut self, open: &mut OpenState<'a>) {
+    fn on_open_arrival(&mut self, open: &mut OpenState<'a>) {
         let Some(arrival) = open.upcoming.take() else {
             return;
         };
@@ -273,7 +297,7 @@ impl<'a> QueueEngine<'a> {
 
     /// An open query completed: free its working set, retire its lane and
     /// admit from the waiting room.
-    pub(super) fn on_open_release(&mut self, lane: usize, open: &mut OpenState<'a>) {
+    fn on_open_release(&mut self, lane: usize, open: &mut OpenState<'a>) {
         if self.release_lane(lane) {
             self.retire_open_lane(lane, open);
             self.try_admit_open(open);

@@ -441,6 +441,22 @@ pub(crate) enum LaneSource<'s, 'a> {
     Open(&'s OpenTraffic<'a>),
 }
 
+/// A run's lanes as the event loop sees them: when the run is done, and
+/// what an arrival and a finished lane mean. A closed run passes [`Closed`];
+/// an open run passes the [`OpenState`] it owns, so only an open run reaches
+/// the open-mode handlers.
+trait Lanes<'a> {
+    /// Whether the run is complete.
+    fn is_done(&self, engine: &QueueEngine<'a>) -> bool;
+    /// An `OpenArrival` event fired.
+    fn on_arrival(&mut self, engine: &mut QueueEngine<'a>);
+    /// Lane `lane` finished: its `QueryRelease` event fired.
+    fn on_release(&mut self, engine: &mut QueueEngine<'a>, lane: usize);
+}
+
+/// The lanes of a closed run: a fixed query list, installed up front.
+struct Closed;
+
 /// Per-operator global runtime state.
 struct OpRuntime {
     /// The lane (query) this operator belongs to.
@@ -770,51 +786,24 @@ pub(crate) struct QueueEngine<'a> {
 }
 
 impl<'a> QueueEngine<'a> {
-    /// Pops the next event: a calendar that empties before the run is done
-    /// is a stall, and a run past [`MAX_EVENTS`] is out of budget.
-    fn next_event(&mut self) -> Result<Event> {
-        let Some((_, event)) = self.calendar.pop() else {
-            return Err(self.stall_error());
-        };
-        if self.calendar.processed() > MAX_EVENTS {
-            return Err(self.budget_error());
-        }
-        Ok(event)
-    }
-
-    /// Runs a closed run's event loop until every operator terminated. The
-    /// final lane's `QueryRelease` may be left unprocessed.
-    fn run_loop(&mut self) -> Result<()> {
-        while self.ops_terminated < self.ops.len() {
-            let event = self.next_event()?;
-            self.dispatch(event)?;
+    /// Runs the event loop until `lanes` says the run is done. A calendar
+    /// that empties first is a stall, and a run past [`MAX_EVENTS`] is out
+    /// of budget.
+    fn run_loop(&mut self, lanes: &mut dyn Lanes<'a>) -> Result<()> {
+        while !lanes.is_done(self) {
+            let Some((_, event)) = self.calendar.pop() else {
+                return Err(self.stall_error());
+            };
+            if self.calendar.processed() > MAX_EVENTS {
+                return Err(self.budget_error());
+            }
+            self.dispatch(event, lanes)?;
         }
         Ok(())
     }
 
-    /// Runs an open run's event loop until [`OpenState::is_done`].
-    fn run_open_loop(&mut self, open: &mut OpenState<'a>) -> Result<()> {
-        while !open.is_done() {
-            let event = self.next_event()?;
-            self.dispatch_open(event, open)?;
-        }
-        Ok(())
-    }
-
-    /// Dispatches one event of an open run: arrivals and releases go to the
-    /// open handlers, every other event to [`Self::dispatch`].
-    fn dispatch_open(&mut self, event: Event, open: &mut OpenState<'a>) -> Result<()> {
-        match event {
-            Event::OpenArrival => self.on_open_arrival(open),
-            Event::QueryRelease { lane } => self.on_open_release(lane, open),
-            event => self.dispatch(event)?,
-        }
-        Ok(())
-    }
-
-    /// Dispatches one event of a closed run, or an engine event of an open
-    /// run.
-    fn dispatch(&mut self, event: Event) -> Result<()> {
+    /// Handles one event. Arrivals and finished lanes go to `lanes`.
+    fn dispatch(&mut self, event: Event, lanes: &mut dyn Lanes<'a>) -> Result<()> {
         match event {
             Event::ThreadReady { node, thread } => self.on_thread_ready(node, thread),
             Event::Data {
@@ -826,11 +815,9 @@ impl<'a> QueueEngine<'a> {
             Event::Control { node, msg } => self.on_control(node, msg),
             Event::QueryStart { lane } => self.on_query_start(lane),
             Event::QueryAdmit { lane } => self.on_query_admit(lane),
-            Event::QueryRelease { lane } => self.on_query_release(lane),
+            Event::QueryRelease { lane } => lanes.on_release(self, lane),
             Event::Topology { index } => self.on_topology(index)?,
-            // Only an open run schedules arrivals, and `dispatch_open` takes
-            // them before they get here.
-            Event::OpenArrival => {}
+            Event::OpenArrival => lanes.on_arrival(self),
         }
         Ok(())
     }
@@ -974,14 +961,14 @@ impl<'a> QueueEngine<'a> {
 
     /// Runs the simulation to completion and produces the report.
     pub(crate) fn run(mut self) -> Result<ExecutionReport> {
-        self.run_loop()?;
+        self.run_loop(&mut Closed)?;
         Ok(self.aggregate_report())
     }
 
     /// Runs the simulation to completion and produces the aggregate plus the
     /// per-query breakdown (co-simulated mode).
     pub(crate) fn run_cosim(mut self) -> Result<CoSimReport> {
-        self.run_loop()?;
+        self.run_loop(&mut Closed)?;
         let aggregate = self.aggregate_report();
         let queries = self
             .lanes
@@ -1018,7 +1005,7 @@ impl<'a> QueueEngine<'a> {
     /// streaming report: aggregate counters plus the latency sketches (no
     /// per-query materialization).
     fn run_open(mut self, mut open: OpenState<'a>) -> Result<OpenReport> {
-        self.run_open_loop(&mut open)?;
+        self.run_loop(&mut open)?;
         let aggregate = self.aggregate_report();
         // Front-end retirements (cache hits, follower fan-outs) happen off
         // the calendar, so the run can end after the engine's last event.

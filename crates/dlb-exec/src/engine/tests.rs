@@ -884,7 +884,7 @@ fn open_live_state_is_bounded_by_concurrency_at_10k_queries() {
         QueueEngine::open_run(&traffic, config, Strategy::dynamic(), opts).unwrap();
     // Op state is O(concurrency × max_ops) by construction, not O(total).
     assert_eq!(engine.ops.len(), concurrency * 4);
-    engine.run_open_loop(&mut open).unwrap();
+    engine.run_loop(&mut open).unwrap();
     assert_eq!(open.completed, 10_000);
     assert_eq!(open.response.count(), 10_000);
     assert!(
@@ -1193,7 +1193,7 @@ fn installed_producers_match_the_plan() {
     .unwrap();
     let mut recycled = 0;
     while let Some((_, event)) = engine.calendar.pop() {
-        engine.dispatch_open(event, &mut open).unwrap();
+        engine.dispatch(event, &mut open).unwrap();
         if open.completed > recycled && engine.lanes[0].started {
             recycled = open.completed;
             assert_producers_match_plan(&engine);
@@ -1211,7 +1211,7 @@ fn stall_error_lists_the_unterminated_operators() {
     // nothing can ever run them.
     while engine.calendar.pop().is_some() {}
     let n_ops = plan.tree.operators().len();
-    let msg = engine.run_loop().unwrap_err().to_string();
+    let msg = engine.run_loop(&mut Closed).unwrap_err().to_string();
     assert!(
         msg.contains(&format!(
             "simulation stalled: 0 of {n_ops} operators terminated"
@@ -1251,7 +1251,7 @@ fn stall_error_lists_the_unterminated_operators() {
     assert!(!engine.lanes[1].started);
     while engine.calendar.pop().is_some() {}
     let total = n_ops + second.tree.operators().len();
-    let msg = engine.run_loop().unwrap_err().to_string();
+    let msg = engine.run_loop(&mut Closed).unwrap_err().to_string();
     assert!(
         msg.contains(&format!(
             "simulation stalled: 0 of {total} operators terminated"
@@ -1264,10 +1264,10 @@ fn stall_error_lists_the_unterminated_operators() {
     let mut engine = closed_engine(&plan, config, Strategy::dynamic());
     while !engine.node_lb.iter().any(|lb| lb.starving_outstanding) {
         let (_, event) = engine.calendar.pop().expect("a node starves mid-run");
-        engine.dispatch(event).unwrap();
+        engine.dispatch(event, &mut Closed).unwrap();
     }
     while engine.calendar.pop().is_some() {}
-    let msg = engine.run_loop().unwrap_err().to_string();
+    let msg = engine.run_loop(&mut Closed).unwrap_err().to_string();
     let (node, lb) = engine
         .node_lb
         .iter()
@@ -1291,7 +1291,7 @@ fn budget_error_reports_progress_and_the_unterminated_operators() {
     let mut engine = closed_engine(&plan, config, Strategy::dynamic());
     for _ in 0..200 {
         let (_, event) = engine.calendar.pop().unwrap();
-        engine.dispatch(event).unwrap();
+        engine.dispatch(event, &mut Closed).unwrap();
     }
     let now = engine.calendar.now();
     assert!(now > SimTime::ZERO);
@@ -1329,7 +1329,7 @@ fn budget_error_reports_progress_and_the_unterminated_operators() {
             .any(|lb| !lb.fp_outstanding.is_empty() || lb.push_outstanding)
         {
             let (_, event) = engine.calendar.pop().expect("an episode starts mid-run");
-            engine.dispatch(event).unwrap();
+            engine.dispatch(event, &mut Closed).unwrap();
         }
         let msg = engine.budget_error().to_string();
         let (node, lb) = engine
@@ -1366,12 +1366,12 @@ fn open_stall_error_counts_only_in_use_slots() {
     // Run up to the first admission, then drop everything else.
     while !engine.lanes.iter().any(|l| l.started) {
         let (_, event) = engine.calendar.pop().unwrap();
-        engine.dispatch_open(event, &mut open).unwrap();
+        engine.dispatch(event, &mut open).unwrap();
     }
     while engine.calendar.pop().is_some() {}
     let n_ops = plan.tree.operators().len();
     assert!(engine.ops.len() > n_ops);
-    let msg = engine.run_open_loop(&mut open).unwrap_err().to_string();
+    let msg = engine.run_loop(&mut open).unwrap_err().to_string();
     assert!(
         msg.contains(&format!(
             "simulation stalled: 0 of {n_ops} operators terminated"
