@@ -13,8 +13,12 @@ impl<'a> Lanes<'a> for Closed {
     /// A closed run schedules no arrivals.
     fn on_arrival(&mut self, _engine: &mut QueueEngine<'a>) {}
 
+    /// Frees the lane's working set, then admits every waiting lane that
+    /// now fits.
     fn on_release(&mut self, engine: &mut QueueEngine<'a>, lane: usize) {
-        engine.on_query_release(lane);
+        if engine.release_lane(lane) {
+            engine.admit_waiting();
+        }
     }
 }
 
@@ -26,12 +30,33 @@ impl<'a> Lanes<'a> for OpenState<'a> {
         self.upcoming.is_none() && self.pending.is_empty() && self.live_now == 0
     }
 
+    /// The next query of the arrival stream arrives: unless the front end
+    /// serves it, it enters the waiting room. The following arrival is
+    /// drawn and scheduled (lazy, one ahead), and admission runs.
     fn on_arrival(&mut self, engine: &mut QueueEngine<'a>) {
-        engine.on_open_arrival(self);
+        let Some(arrival) = self.upcoming.take() else {
+            return;
+        };
+        let now = engine.calendar.now();
+        if self.front_end(arrival, now) {
+            self.pending.push_back(OpenPending {
+                arrived_at: now,
+                template: arrival.template,
+                priority: arrival.priority,
+            });
+        }
+        self.upcoming = self.stream.next();
+        engine.schedule_arrival(self);
+        engine.try_admit_open(self);
     }
 
+    /// Frees the lane's working set, retires the lane and admits from the
+    /// waiting room.
     fn on_release(&mut self, engine: &mut QueueEngine<'a>, lane: usize) {
-        engine.on_open_release(lane, self);
+        if engine.release_lane(lane) {
+            engine.retire_open_lane(lane, self);
+            engine.try_admit_open(self);
+        }
     }
 }
 
@@ -227,14 +252,6 @@ impl<'a> QueueEngine<'a> {
         true
     }
 
-    /// A query completed: free its working set, then admit every waiting
-    /// lane that now fits.
-    fn on_query_release(&mut self, lane: usize) {
-        if self.release_lane(lane) {
-            self.admit_waiting();
-        }
-    }
-
     /// Admits every waiting lane that fits, each as its own `QueryAdmit`
     /// event at the current instant. Memory is reserved at scheduling time,
     /// so the chain of fits stays consistent.
@@ -272,35 +289,6 @@ impl<'a> QueueEngine<'a> {
                 SimTime::ZERO + Duration::from_secs_f64(next.offset_secs),
                 Event::OpenArrival,
             );
-        }
-    }
-
-    /// The next query of the arrival stream arrives: unless the front end
-    /// serves it, it enters the waiting room. The following arrival is
-    /// drawn and scheduled (lazy, one ahead), and admission runs.
-    fn on_open_arrival(&mut self, open: &mut OpenState<'a>) {
-        let Some(arrival) = open.upcoming.take() else {
-            return;
-        };
-        let now = self.calendar.now();
-        if open.front_end(arrival, now) {
-            open.pending.push_back(OpenPending {
-                arrived_at: now,
-                template: arrival.template,
-                priority: arrival.priority,
-            });
-        }
-        open.upcoming = open.stream.next();
-        self.schedule_arrival(open);
-        self.try_admit_open(open);
-    }
-
-    /// An open query completed: free its working set, retire its lane and
-    /// admit from the waiting room.
-    fn on_open_release(&mut self, lane: usize, open: &mut OpenState<'a>) {
-        if self.release_lane(lane) {
-            self.retire_open_lane(lane, open);
-            self.try_admit_open(open);
         }
     }
 

@@ -423,11 +423,10 @@ impl<'a> QueueEngine<'a> {
     /// sets of `node`'s threads.
     pub(super) fn allow_lane(&mut self, node: usize, base: usize, assignment: &ThreadAssignment) {
         for (t, ops) in assignment.iter().enumerate() {
-            let set = self.allowed[node][t]
-                .as_mut()
-                .expect("FP threads carry allowed sets");
-            for o in ops {
-                set.insert(base + o.index());
+            if let Some(set) = &mut self.allowed[node][t] {
+                for o in ops {
+                    set.insert(base + o.index());
+                }
             }
         }
     }

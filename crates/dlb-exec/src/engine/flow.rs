@@ -47,9 +47,7 @@ impl<'a> QueueEngine<'a> {
                     let chunk = node_tuples.min(tuples_per_trigger);
                     node_tuples -= chunk;
                     let pages = chunk.div_ceil(tuples_per_page).max(1);
-                    let disk_local = self.disk_cursor[node.index()] % self.disks_per_node;
-                    self.disk_cursor[node.index()] += 1;
-                    let disk = DiskId::new(node, disk_local);
+                    let disk = self.next_disk(node.index());
                     let slot = router.route(chunk);
                     let activation =
                         Activation::trigger(OperatorId::from(op_idx - base), pages, chunk, disk)
@@ -69,6 +67,13 @@ impl<'a> QueueEngine<'a> {
                 self.ops[op_idx].input_delivered += seeded;
             }
         }
+    }
+
+    /// The next disk of `node` in round-robin order, for a trigger's reads.
+    pub(super) fn next_disk(&mut self, node: usize) -> DiskId {
+        let local = self.disk_cursor[node] % self.disks_per_node;
+        self.disk_cursor[node] += 1;
+        DiskId::new(NodeId::from(node), local)
     }
 
     /// Moves parked activations of (op, node) into queues with free space.

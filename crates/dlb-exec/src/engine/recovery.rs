@@ -266,15 +266,8 @@ impl<'a> QueueEngine<'a> {
             // survivors).
             let a = match a.kind {
                 ActivationKind::Trigger { pages, .. } => {
-                    let disk_local = self.disk_cursor[dest] % self.disks_per_node;
-                    self.disk_cursor[dest] += 1;
-                    Activation::trigger(
-                        a.op,
-                        pages,
-                        a.tuples,
-                        DiskId::new(NodeId::from(dest), disk_local),
-                    )
-                    .for_query(a.query)
+                    Activation::trigger(a.op, pages, a.tuples, self.next_disk(dest))
+                        .for_query(a.query)
                 }
                 ActivationKind::Data => a,
             };
