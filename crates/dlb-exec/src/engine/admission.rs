@@ -1,5 +1,7 @@
 //! Memory admission: the closed head-of-line FCFS queue and the open
-//! system's arrivals, waiting room, lane-slot admission and retirement.
+//! system's arrivals, waiting room, lane-slot admission and retirement,
+//! reached from the event loop through the `Lanes` impls of `Closed` and
+//! `OpenState`.
 
 use super::*;
 

@@ -194,8 +194,9 @@ struct OpenFollower {
 
 /// The state an open-system run owns beside its engine: the arrival stream,
 /// the waiting room, lane-slot bookkeeping, the front end and the latency
-/// sketches. Only [`QueueEngine::run_open`] holds one, and the open-only
-/// handlers take it as an argument, so a closed run cannot reach them.
+/// sketches. An open run passes it to the event loop as its [`Lanes`], and
+/// the open-only handlers take it as an argument, so a closed run cannot
+/// reach them.
 struct OpenState<'a> {
     templates: Vec<OpenTemplate<'a>>,
     stream: ArrivalStream,
