@@ -63,6 +63,57 @@ fn bench_calendar_lockstep(c: &mut Criterion) {
     });
 }
 
+/// How far ahead of the clock one `paper-scale` pass schedules its events,
+/// as `(share in thousandths, shortest delay ns, longest delay ns)`: local
+/// hand-offs, network arrivals, quantum ends, and a few beyond the wheel's
+/// 67 ms horizon.
+const ENGINE_DELAYS: [(u64, u64, u64); 6] = [
+    (85, 8_000, 16_000),
+    (70, 32_000, 64_000),
+    (348, 500_000, 1_000_000),
+    (395, 8_000_000, 16_000_000),
+    (100, 33_000_000, 67_000_000),
+    (2, 67_000_000, 200_000_000),
+];
+
+/// The calendar alone under the engine's delay mix: about 190 events
+/// pending, as in a paper-scale run, and each pop schedules one more.
+fn bench_calendar_engine_delays(c: &mut Criterion) {
+    const PENDING: u64 = 190;
+    c.bench_function("calendar_engine_delays_10k", |b| {
+        b.iter_batched(
+            EventCalendar::<u64>::new,
+            |mut cal| {
+                let mut state = 0x2545_F491_4F6C_DD1Du64;
+                let mut delay = || {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    let mut pick = (state >> 33) % 1000;
+                    let &(_, low, high) = ENGINE_DELAYS
+                        .iter()
+                        .find(|&&(share, _, _)| {
+                            let hit = pick < share;
+                            pick = pick.saturating_sub(share);
+                            hit
+                        })
+                        .expect("the shares sum to 1000");
+                    low + (state >> 11) % (high - low)
+                };
+                for i in 0..PENDING {
+                    cal.schedule_at(SimTime::from_nanos(delay()), i);
+                }
+                for i in PENDING..10_000 {
+                    let (now, event) = cal.pop().expect("events stay pending");
+                    black_box(event);
+                    cal.schedule_at(SimTime::from_nanos(now.as_nanos() + delay()), i);
+                }
+            },
+            BatchSize::SmallInput,
+        );
+    });
+}
+
 fn bench_disks(c: &mut Criterion) {
     c.bench_function("disk_farm_10k_reads", |b| {
         b.iter_batched(
@@ -94,11 +145,33 @@ fn bench_network(c: &mut Criterion) {
     });
 }
 
+/// Sends of 2, 3 and 4 pages in turn: with one fixed size the compiler may
+/// hoist the pure instruction-count conversion out of the loop, which the
+/// engine's sends never allow.
+fn bench_network_mixed_sizes(c: &mut Criterion) {
+    c.bench_function("network_10k_sends_mixed_sizes", |b| {
+        b.iter_batched(
+            || Network::new(NetworkParams::default(), CpuParams::default(), 4),
+            |mut net| {
+                for i in 0..10_000u32 {
+                    let from = NodeId::new(i % 4);
+                    let to = NodeId::new((i + 1) % 4);
+                    let bytes = black_box(12_800 + u64::from(i % 3) * 8_192);
+                    black_box(net.send(from, to, bytes, SimTime::from_nanos(i as u64)));
+                }
+            },
+            BatchSize::SmallInput,
+        );
+    });
+}
+
 criterion_group!(
     benches,
     bench_calendar,
     bench_calendar_lockstep,
+    bench_calendar_engine_delays,
     bench_disks,
-    bench_network
+    bench_network,
+    bench_network_mixed_sizes
 );
 criterion_main!(benches);

@@ -29,7 +29,7 @@ impl<'a> Lanes<'a> for OpenState<'a> {
     /// admitted query retired (its `QueryRelease` processed, so the final
     /// latency samples are recorded and the final slot freed).
     fn is_done(&self, _engine: &QueueEngine<'a>) -> bool {
-        self.upcoming.is_none() && self.pending.is_empty() && self.live_now == 0
+        self.upcoming.is_none() && self.pending.is_empty() && self.live_now() == 0
     }
 
     /// The next query of the arrival stream arrives: unless the front end
@@ -75,7 +75,6 @@ impl<'a> OpenState<'a> {
             stream,
             pending: VecDeque::new(),
             free_slots: (0..concurrency).rev().collect(),
-            live_now: 0,
             peak_live: 0,
             completed: 0,
             admission_seq: 0,
@@ -102,6 +101,11 @@ impl<'a> OpenState<'a> {
             response_coalesced: LatencyHistogram::new(),
             front_finish: SimTime::ZERO,
         })
+    }
+
+    /// Lane slots holding an admitted query.
+    fn live_now(&self) -> usize {
+        self.lane_seq.len() - self.free_slots.len()
     }
 
     /// Records one completed query of `template` in the latency sketches:
@@ -260,8 +264,12 @@ impl<'a> QueueEngine<'a> {
     pub(super) fn admit_waiting(&mut self) {
         let now = self.calendar.now();
         while let Some(admitted) = self.try_reserve_head() {
-            self.calendar
-                .schedule_at(now, Event::QueryAdmit { lane: admitted });
+            self.calendar.schedule_at(
+                now,
+                Event::QueryAdmit {
+                    lane: admitted as u32,
+                },
+            );
         }
     }
 
@@ -313,8 +321,7 @@ impl<'a> QueueEngine<'a> {
             open.admission_seq += 1;
             open.lane_seq[slot] = open.admission_seq;
             open.lane_template[slot] = head.template;
-            open.live_now += 1;
-            open.peak_live = open.peak_live.max(open.live_now);
+            open.peak_live = open.peak_live.max(open.live_now());
             self.admit_open_lane(slot, head, open);
         }
     }
@@ -399,7 +406,6 @@ impl<'a> QueueEngine<'a> {
         self.sync_lane_hot(lane_idx);
         let template = open.lane_template[lane_idx];
         open.record(template, priority, response_secs, wait_secs);
-        open.live_now -= 1;
         open.free_slots.push(lane_idx);
         // Front-end bookkeeping: this lane was an engine execution (counted
         // unconditionally so `completed == engine + hits + coalesced` holds

@@ -94,12 +94,6 @@ impl<'a> QueueEngine<'a> {
     // Activation processing
     // ----------------------------------------------------------------- //
 
-    /// The shared-memory contention slowdown of the node's processors.
-    fn contention(&self) -> f64 {
-        self.options
-            .contention_factor(self.config.machine.processors_per_node)
-    }
-
     pub(super) fn process_activation(
         &mut self,
         node: usize,
@@ -154,7 +148,7 @@ impl<'a> QueueEngine<'a> {
             }
         }
 
-        let cpu_time = self.config.cpu.instructions(instructions) * self.contention();
+        let cpu_time = self.clock.duration(instructions);
         let mut quantum_end = (now + cpu_time).max(io_complete);
 
         // Record hash-table growth for builds.
@@ -204,7 +198,7 @@ impl<'a> QueueEngine<'a> {
         self.maybe_terminate(op_idx);
 
         self.calendar
-            .schedule_at(quantum_end, Event::ThreadReady { node, thread });
+            .schedule_at(quantum_end, Event::ready(node, thread));
     }
 
     /// Routes `out_tuples` produced by `op_idx` on `node` to the consumer's
@@ -256,7 +250,8 @@ impl<'a> QueueEngine<'a> {
     }
 
     /// Schedules `activation` to land in queue `slot` of `op` on `node` at
-    /// `at`.
+    /// `at`. A data activation travels as its tuple count (see
+    /// [`Self::data_activation`]); only a re-homed trigger is boxed.
     pub(super) fn schedule_data(
         &mut self,
         at: SimTime,
@@ -265,13 +260,31 @@ impl<'a> QueueEngine<'a> {
         slot: usize,
         activation: Activation,
     ) {
-        let data = Event::Data {
-            node,
-            op,
-            slot,
-            activation,
+        let (node, op, slot) = (node as u32, op as u32, slot as u32);
+        let event = match activation.kind {
+            ActivationKind::Data => Event::Data {
+                node,
+                op,
+                slot,
+                tuples: activation.tuples,
+            },
+            ActivationKind::Trigger { .. } => Event::Trigger {
+                node,
+                op,
+                slot,
+                activation: Box::new(activation),
+            },
         };
-        self.calendar.schedule_at(at, data);
+        self.calendar.schedule_at(at, event);
+    }
+
+    /// The data activation of `tuples` for operator slot `op`: plan-local
+    /// id and query tag from the operator's lane, as every data activation
+    /// scheduled for `op` carries.
+    pub(super) fn data_activation(&self, op: usize, tuples: u64) -> Activation {
+        let lane = self.ops[op].lane;
+        Activation::data(OperatorId::from(op - self.lanes[lane].base), tuples)
+            .for_query(lane as u32)
     }
 
     pub(super) fn on_data(&mut self, node: usize, op: usize, slot: usize, activation: Activation) {

@@ -71,13 +71,13 @@ use dlb_common::config::SystemConfig;
 use dlb_common::rng::rng_from_seed;
 use dlb_common::{
     round_u64, BitSet, DiskId, DlbError, Duration, NodeId, OperatorId, ProcessorId, RelationId,
-    Result, SimTime,
+    Result, SimTime, Slab,
 };
 use dlb_frontend::{FrontendConfig, FrontendStats, Lookup, ResultCache, SingleFlight};
 use dlb_query::cost::CostModel;
 use dlb_query::optree::OperatorKind;
 use dlb_query::plan::ParallelPlan;
-use dlb_sim::{CpuAccounting, DiskFarm, EventCalendar, Network};
+use dlb_sim::{CpuAccounting, DiskFarm, EventCalendar, InstructionClock, Network};
 use dlb_traffic::{Arrival, ArrivalSpec, ArrivalStream, LatencyHistogram};
 use rand::rngs::StdRng;
 use std::collections::BTreeSet;
@@ -209,10 +209,11 @@ struct OpenState<'a> {
     /// Recyclable lane slots; initialized in reverse so the first admission
     /// takes slot 0 (a lone query then reproduces the closed engine exactly).
     free_slots: Vec<usize>,
-    live_now: usize,
     peak_live: usize,
     completed: u64,
     admission_seq: u64,
+    /// Per lane slot, the admission sequence number of its latest occupant;
+    /// one entry per slot, so the live lanes are the slots not free.
     lane_seq: Vec<u64>,
     lane_template: Vec<usize>,
     /// FP cost-model error draws, one allocation per admission.
@@ -245,49 +246,75 @@ struct OpenState<'a> {
     front_finish: SimTime,
 }
 
-#[derive(Debug, Clone)]
+/// One calendar event. Every id is a `u32` and the rare, wide payloads are
+/// held apart, so an event is 24 bytes: the calendar moves and stores
+/// ~16 M of them per paper-scale pass.
+#[derive(Debug)]
 enum Event {
     ThreadReady {
-        node: usize,
-        thread: usize,
+        node: u32,
+        thread: u32,
     },
+    /// A batch of `tuples` for operator slot `op` lands in queue `slot` on
+    /// `node`. The data activation itself is rebuilt from the operator's
+    /// lane on delivery.
     Data {
-        node: usize,
-        op: usize,
-        slot: usize,
-        activation: Activation,
+        node: u32,
+        op: u32,
+        slot: u32,
+        tuples: u64,
     },
+    /// A re-homed trigger activation lands like a data batch (recovery
+    /// only).
+    Trigger {
+        node: u32,
+        op: u32,
+        slot: u32,
+        activation: Box<Activation>,
+    },
+    /// A control message reaches `node`'s scheduler; `msg` is its key in
+    /// [`QueueEngine::messages`].
     Control {
-        node: usize,
-        msg: ControlMsg,
+        node: u32,
+        msg: u32,
     },
     /// A co-simulated query arrives: it joins the admission queue (and is
     /// admitted on the spot when its placement has the memory).
     QueryStart {
-        lane: usize,
+        lane: u32,
     },
     /// A waiting query's memory reservation succeeded after a release: seed
     /// its triggers and wake the machine. Only scheduled for queries that
     /// actually waited — arrivals that fit are admitted synchronously, so
     /// the single-query/no-contention event stream is unchanged.
     QueryAdmit {
-        lane: usize,
+        lane: u32,
     },
     /// A query completed: release its working set on its placement nodes and
     /// admit whoever now fits (head-of-line FCFS order).
     QueryRelease {
-        lane: usize,
+        lane: u32,
     },
     /// A scheduled topology change (node failure, drain or re-join) takes
     /// effect. `index` points into the engine's validated, time-sorted
     /// topology stream.
     Topology {
-        index: usize,
+        index: u32,
     },
     /// Open mode: the next query of the arrival stream arrives. The
     /// descriptor sits in `OpenState::upcoming`; handling it draws (and
     /// schedules) the following arrival.
     OpenArrival,
+}
+
+impl Event {
+    /// Thread `thread` of `node` looks for work.
+    fn ready(node: usize, thread: usize) -> Self {
+        Event::ThreadReady {
+            node: node as u32,
+            thread: thread as u32,
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -300,11 +327,7 @@ enum ControlMsg {
     /// Phase 2 reply: the node has no remaining work for `op`.
     Confirm { op: usize },
     /// Termination broadcast (accounting only; state is updated centrally).
-    Terminated {
-        /// The terminated operator (kept for traceability in debug output).
-        #[allow(dead_code)]
-        op: usize,
-    },
+    Terminated,
     /// A node is starving (DP: any work; FP: work for `target`).
     Starving {
         from: usize,
@@ -466,6 +489,12 @@ struct OpRuntime {
     /// Global index of the consumer operator, if any.
     consumer: Option<usize>,
     home: Vec<NodeId>,
+    /// The live nodes of `home`, each once, in home order: where work
+    /// addressed to a down node is redirected. Refreshed whenever a
+    /// topology event changes the live set or the home; empty until the
+    /// first one, while nothing reads it (lanes are installed before any
+    /// topology event, or in open runs, which have none).
+    live_homes: Vec<NodeId>,
     output_ratio: f64,
     blockers_remaining: usize,
     terminated: bool,
@@ -726,6 +755,12 @@ pub(crate) struct QueueEngine<'a> {
     disks_per_node: u32,
 
     calendar: EventCalendar<Event>,
+    /// The control messages in flight, keyed by their `Control` events; a
+    /// slab, so steady-state messaging allocates nothing.
+    messages: Slab<ControlMsg>,
+    /// An activation's CPU time, with the node's shared-memory contention
+    /// slowdown folded in.
+    clock: InstructionClock,
     disks: DiskFarm,
     network: Network,
     cpu: CpuAccounting,
@@ -806,18 +841,35 @@ impl<'a> QueueEngine<'a> {
     /// Handles one event. Arrivals and finished lanes go to `lanes`.
     fn dispatch(&mut self, event: Event, lanes: &mut dyn Lanes<'a>) -> Result<()> {
         match event {
-            Event::ThreadReady { node, thread } => self.on_thread_ready(node, thread),
+            Event::ThreadReady { node, thread } => {
+                self.on_thread_ready(node as usize, thread as usize)
+            }
             Event::Data {
                 node,
                 op,
                 slot,
+                tuples,
+            } => {
+                let activation = self.data_activation(op as usize, tuples);
+                self.on_data(node as usize, op as usize, slot as usize, activation)
+            }
+            Event::Trigger {
+                node,
+                op,
+                slot,
                 activation,
-            } => self.on_data(node, op, slot, activation),
-            Event::Control { node, msg } => self.on_control(node, msg),
-            Event::QueryStart { lane } => self.on_query_start(lane),
-            Event::QueryAdmit { lane } => self.on_query_admit(lane),
-            Event::QueryRelease { lane } => lanes.on_release(self, lane),
-            Event::Topology { index } => self.on_topology(index)?,
+            } => self.on_data(node as usize, op as usize, slot as usize, *activation),
+            Event::Control { node, msg } => {
+                let msg = self
+                    .messages
+                    .remove(msg)
+                    .expect("a delivered message is stored");
+                self.on_control(node as usize, msg)
+            }
+            Event::QueryStart { lane } => self.on_query_start(lane as usize),
+            Event::QueryAdmit { lane } => self.on_query_admit(lane as usize),
+            Event::QueryRelease { lane } => lanes.on_release(self, lane as usize),
+            Event::Topology { index } => self.on_topology(index as usize)?,
             Event::OpenArrival => lanes.on_arrival(self),
         }
         Ok(())

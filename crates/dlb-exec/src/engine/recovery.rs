@@ -17,6 +17,17 @@ impl NodeLb {
     }
 }
 
+/// Overwrites `out` with the live nodes of `home`, each once, in home
+/// order.
+fn collect_live_homes(home: &[NodeId], live: &[bool], out: &mut Vec<NodeId>) {
+    out.clear();
+    for &n in home {
+        if live[n.index()] && !out.contains(&n) {
+            out.push(n);
+        }
+    }
+}
+
 impl OpRuntime {
     /// Restarts the coordinator's side of end detection from scratch (the
     /// operator moved home or was re-opened). The global safety counters in
@@ -34,23 +45,35 @@ impl<'a> QueueEngine<'a> {
     /// policy. Callers guarantee at least one live home node (enforced by
     /// the wholesale lane re-home on failure).
     pub(super) fn live_home_redirect(&self, op: usize, key: u64) -> usize {
-        let total = (self.ops[op].home.len() * self.threads_per_node) as u64;
+        let o = &self.ops[op];
+        debug_assert!(
+            {
+                let mut fresh = Vec::new();
+                collect_live_homes(&o.home, &self.live, &mut fresh);
+                fresh == o.live_homes
+            },
+            "cached live homes of op {op} went stale"
+        );
+        let total = (o.home.len() * self.threads_per_node) as u64;
         self.options
             .recovery
             .rehome
-            .survivor(key, total, &self.live_homes(op))
+            .survivor(key, total, &o.live_homes)
             .index()
     }
 
-    /// The live nodes of `op`'s home, each once, in home order.
-    fn live_homes(&self, op: usize) -> Vec<NodeId> {
-        let mut seen = BTreeSet::new();
-        self.ops[op]
-            .home
-            .iter()
-            .copied()
-            .filter(|n| self.live[n.index()] && seen.insert(n.index()))
-            .collect()
+    /// Recomputes `op`'s live homes: the live nodes of its home, each once,
+    /// in home order.
+    fn refresh_live_homes(&mut self, op: usize) {
+        let o = &mut self.ops[op];
+        collect_live_homes(&o.home, &self.live, &mut o.live_homes);
+    }
+
+    /// Recomputes every operator's live homes after the live set changed.
+    fn refresh_all_live_homes(&mut self) {
+        for op in 0..self.ops.len() {
+            self.refresh_live_homes(op);
+        }
     }
 
     /// Applies one validated topology event. Failures and drains strip the
@@ -73,6 +96,7 @@ impl<'a> QueueEngine<'a> {
     /// a failure loses it under [`RecoveryPolicy::LoseRestart`].
     fn on_node_down(&mut self, dead: usize, graceful: bool) -> Result<()> {
         self.live[dead] = false;
+        self.refresh_all_live_homes();
         if graceful {
             self.faults.drains += 1;
         } else {
@@ -113,6 +137,7 @@ impl<'a> QueueEngine<'a> {
     /// it. Re-homed (replaced) homes are not restored.
     fn on_node_join(&mut self, node: usize) -> Result<()> {
         self.live[node] = true;
+        self.refresh_all_live_homes();
         self.faults.joins += 1;
         self.free_mem[node] = self.config.machine.memory_per_node_bytes;
         self.node_lb[node].abandon();
@@ -122,8 +147,7 @@ impl<'a> QueueEngine<'a> {
         let now = self.calendar.now();
         for thread in 0..self.threads_per_node {
             self.set_idle(node, thread, false);
-            self.calendar
-                .schedule_at(now, Event::ThreadReady { node, thread });
+            self.calendar.schedule_at(now, Event::ready(node, thread));
         }
         Ok(())
     }
@@ -168,6 +192,7 @@ impl<'a> QueueEngine<'a> {
             }
             for op in needs {
                 let old_home = std::mem::replace(&mut self.ops[op].home, vec![NodeId::from(m)]);
+                self.refresh_live_homes(op);
                 self.ops[op].router =
                     OutputRouter::new(self.threads_per_node, self.lanes[lane_idx].skew, op);
                 self.ops[op].restart_end_detection();
@@ -241,7 +266,7 @@ impl<'a> QueueEngine<'a> {
         hash: u64,
         graceful: bool,
     ) {
-        let survivors = self.live_homes(op);
+        let survivors = self.ops[op].live_homes.clone();
         if survivors.is_empty() {
             // Only reachable for a *terminated* operator (live homes are
             // guaranteed otherwise): its residual hash table dies with the

@@ -174,8 +174,7 @@ impl<'a> QueueEngine<'a> {
                 }
             }
             self.set_idle(node, thread, false);
-            self.calendar
-                .schedule_at(now, Event::ThreadReady { node, thread });
+            self.calendar.schedule_at(now, Event::ready(node, thread));
         }
     }
 }

@@ -27,7 +27,10 @@ impl<'a> QueueEngine<'a> {
             .send(NodeId::from(from), NodeId::from(to), msg.bytes(), now);
         self.calendar.schedule_at(
             timing.arrival + timing.recv_cpu,
-            Event::Control { node: to, msg },
+            Event::Control {
+                node: to as u32,
+                msg: self.messages.insert(msg),
+            },
         );
     }
 
@@ -73,7 +76,7 @@ impl<'a> QueueEngine<'a> {
                 self.ops[op].phase2_confirms += 1;
                 self.maybe_terminate(op);
             }
-            ControlMsg::Terminated { .. } => {
+            ControlMsg::Terminated => {
                 // Accounting-only broadcast: state was already updated when
                 // the coordinator made the decision.
             }
@@ -243,15 +246,19 @@ impl<'a> QueueEngine<'a> {
             // final lane may be left unprocessed — the loop exits once every
             // operator terminated.
             if lane.ops_terminated == lane.n_ops {
-                self.calendar
-                    .schedule_at(now, Event::QueryRelease { lane: lane_idx });
+                self.calendar.schedule_at(
+                    now,
+                    Event::QueryRelease {
+                        lane: lane_idx as u32,
+                    },
+                );
             }
         }
 
         // Accounting broadcast (the 4th message round of the protocol).
         for h in 0..self.ops[op].home.len() {
             let home_node = self.ops[op].home[h].index();
-            self.send_control(self.coordinator(), home_node, ControlMsg::Terminated { op });
+            self.send_control(self.coordinator(), home_node, ControlMsg::Terminated);
         }
 
         // Unblock dependent operators of the same query and wake their nodes.

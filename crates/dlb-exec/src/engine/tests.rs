@@ -1379,3 +1379,10 @@ fn open_stall_error_counts_only_in_use_slots() {
         "{msg}"
     );
 }
+
+#[test]
+fn events_stay_24_bytes() {
+    // The calendar stores and moves every event; a wider variant would
+    // grow all of them.
+    assert_eq!(std::mem::size_of::<Event>(), 24);
+}

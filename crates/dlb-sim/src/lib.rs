@@ -8,6 +8,8 @@
 //! time so that all experiments are deterministic and runnable on any host:
 //!
 //! * [`calendar::EventCalendar`] — the event queue / virtual clock,
+//! * [`clock::InstructionClock`] — memoized instruction-count-to-time
+//!   conversion,
 //! * [`disk::DiskFarm`] — per-disk FIFO service timelines implementing the
 //!   paper's disk parameters (latency, seek, transfer rate, asynchronous I/O
 //!   with a bounded read-ahead cache),
@@ -23,11 +25,13 @@
 #![warn(rust_2018_idioms)]
 
 pub mod calendar;
+pub mod clock;
 pub mod cpu;
 pub mod disk;
 pub mod network;
 
 pub use calendar::EventCalendar;
+pub use clock::InstructionClock;
 pub use cpu::CpuAccounting;
 pub use disk::{DiskFarm, DiskRequestOutcome};
 pub use network::{MessageTiming, Network, NetworkStats};

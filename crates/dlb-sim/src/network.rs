@@ -11,6 +11,7 @@
 //! arrival time of message *n+1* is never earlier than that of message *n*,
 //! which the end-detection protocol of `dlb-exec` relies upon.
 
+use crate::clock::InstructionClock;
 use dlb_common::config::{CpuParams, NetworkParams};
 use dlb_common::{Duration, NodeId, SimTime};
 
@@ -77,7 +78,8 @@ impl NetworkStats {
 #[derive(Debug, Clone)]
 pub struct Network {
     params: NetworkParams,
-    cpu: CpuParams,
+    /// Send and receive CPU of a message, memoized per instruction count.
+    clock: InstructionClock,
     /// Per-link earliest next arrival, to preserve FIFO ordering per link
     /// (`SimTime::ZERO` until the link carries its first message), indexed
     /// like the per-link counters of [`NetworkStats`].
@@ -92,7 +94,7 @@ impl Network {
         let nodes = nodes as usize;
         Self {
             params,
-            cpu,
+            clock: InstructionClock::new(cpu, 1.0),
             link_clock: vec![SimTime::ZERO; nodes * nodes],
             stats: NetworkStats::new(nodes),
         }
@@ -117,8 +119,8 @@ impl Network {
                 recv_cpu: Duration::ZERO,
             };
         }
-        let send_cpu = self.cpu.instructions(self.params.send_instructions(bytes));
-        let recv_cpu = self.cpu.instructions(self.params.recv_instructions(bytes));
+        let send_cpu = self.clock.duration(self.params.send_instructions(bytes));
+        let recv_cpu = self.clock.duration(self.params.recv_instructions(bytes));
         let sent = at + send_cpu;
         // FIFO per link: never deliver before a previously sent message on the
         // same link. An unused link's clock is the origin, which every
