@@ -7,8 +7,8 @@
 # interrupted instruction pointer from each SIGPROF's signal context (the
 # kernel tick may cap the effective rate lower). The `bench` binary is built
 # with line tables (CARGO_PROFILE_RELEASE_DEBUG=line-tables-only) into its
-# own target directory, target/profile-bench (PROFILE_TARGET_DIR overrides
-# it), so bench/target and its timings are left alone. One
+# own target directory, target/profile-bench, so bench/target and its
+# timings are left alone. One
 # `bench --workload W --seconds S` run is sampled (S defaults to 15), the
 # samples are symbolized with `addr2line -i`, and each sample goes to the
 # layer of its innermost inlined frame whose source file names one.
@@ -19,7 +19,7 @@ set -euo pipefail
 workload=${1:?usage: bash ci/profile.sh <workload> [seconds]}
 seconds=${2:-15}
 cd "$(dirname "$0")/.."
-target=${PROFILE_TARGET_DIR:-target/profile-bench}
+target=target/profile-bench
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 

@@ -145,33 +145,12 @@ fn bench_network(c: &mut Criterion) {
     });
 }
 
-/// Sends of 2, 3 and 4 pages in turn: with one fixed size the compiler may
-/// hoist the pure instruction-count conversion out of the loop, which the
-/// engine's sends never allow.
-fn bench_network_mixed_sizes(c: &mut Criterion) {
-    c.bench_function("network_10k_sends_mixed_sizes", |b| {
-        b.iter_batched(
-            || Network::new(NetworkParams::default(), CpuParams::default(), 4),
-            |mut net| {
-                for i in 0..10_000u32 {
-                    let from = NodeId::new(i % 4);
-                    let to = NodeId::new((i + 1) % 4);
-                    let bytes = black_box(12_800 + u64::from(i % 3) * 8_192);
-                    black_box(net.send(from, to, bytes, SimTime::from_nanos(i as u64)));
-                }
-            },
-            BatchSize::SmallInput,
-        );
-    });
-}
-
 criterion_group!(
     benches,
     bench_calendar,
     bench_calendar_lockstep,
     bench_calendar_engine_delays,
     bench_disks,
-    bench_network,
-    bench_network_mixed_sizes
+    bench_network
 );
 criterion_main!(benches);

@@ -260,6 +260,11 @@ impl<'a> QueueEngine<'a> {
         slot: usize,
         activation: Activation,
     ) {
+        debug_assert!(
+            matches!(activation.kind, ActivationKind::Trigger { .. })
+                || activation == self.data_activation(op, activation.tuples),
+            "a data activation must carry its operator's lane tag: delivery rebuilds it"
+        );
         let (node, op, slot) = (node as u32, op as u32, slot as u32);
         let event = match activation.kind {
             ActivationKind::Data => Event::Data {

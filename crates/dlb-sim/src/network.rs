@@ -11,7 +11,6 @@
 //! arrival time of message *n+1* is never earlier than that of message *n*,
 //! which the end-detection protocol of `dlb-exec` relies upon.
 
-use crate::clock::InstructionClock;
 use dlb_common::config::{CpuParams, NetworkParams};
 use dlb_common::{Duration, NodeId, SimTime};
 
@@ -78,8 +77,7 @@ impl NetworkStats {
 #[derive(Debug, Clone)]
 pub struct Network {
     params: NetworkParams,
-    /// Send and receive CPU of a message, memoized per instruction count.
-    clock: InstructionClock,
+    cpu: CpuParams,
     /// Per-link earliest next arrival, to preserve FIFO ordering per link
     /// (`SimTime::ZERO` until the link carries its first message), indexed
     /// like the per-link counters of [`NetworkStats`].
@@ -94,7 +92,7 @@ impl Network {
         let nodes = nodes as usize;
         Self {
             params,
-            clock: InstructionClock::new(cpu, 1.0),
+            cpu,
             link_clock: vec![SimTime::ZERO; nodes * nodes],
             stats: NetworkStats::new(nodes),
         }
@@ -119,8 +117,8 @@ impl Network {
                 recv_cpu: Duration::ZERO,
             };
         }
-        let send_cpu = self.clock.duration(self.params.send_instructions(bytes));
-        let recv_cpu = self.clock.duration(self.params.recv_instructions(bytes));
+        let send_cpu = self.cpu.instructions(self.params.send_instructions(bytes));
+        let recv_cpu = self.cpu.instructions(self.params.recv_instructions(bytes));
         let sent = at + send_cpu;
         // FIFO per link: never deliver before a previously sent message on the
         // same link. An unused link's clock is the origin, which every
